@@ -8,6 +8,8 @@
 
 use std::fmt;
 
+use hmdiv_obs::export::write_json_string;
+
 /// How bad a finding is. Ordering is `Info < Warn < Error`.
 // Derived `PartialOrd` expands to `partial_cmp`, which clippy.toml disallows
 // for hand-written float comparisons; the derive itself is fine.
@@ -474,7 +476,7 @@ impl Report {
             out.push_str("\",\"pass\":\"");
             out.push_str(d.pass);
             out.push_str("\",\"message\":");
-            push_json_string(&mut out, &d.message);
+            write_json_string(&mut out, &d.message);
             out.push('}');
         }
         let (e, w, i) = self.counts();
@@ -483,25 +485,6 @@ impl Report {
         ));
         out
     }
-}
-
-/// Appends `s` as a JSON string literal (quoted, escaped).
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]
@@ -575,7 +558,7 @@ mod tests {
     #[test]
     fn control_chars_escape_as_unicode() {
         let mut out = String::new();
-        push_json_string(&mut out, "a\u{01}b");
+        write_json_string(&mut out, "a\u{01}b");
         assert_eq!(out, "\"a\\u0001b\"");
     }
 }

@@ -13,14 +13,12 @@
 //! 0.9·0.04·0.07 ≈ 0.0025 under the field profile) buys far less than the
 //! same improvement on the rare difficult ones (0.1·0.5·0.41 ≈ 0.021).
 
-use serde::{Deserialize, Serialize};
-
 use crate::compiled::CompiledModel;
 use crate::extrapolate::Scenario;
 use crate::{ClassId, ClassParams, DemandProfile, ModelError, SequentialModel};
 
 /// The improvement leverage of one class.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassLeverage {
     /// The class.
     pub class: ClassId,
@@ -204,7 +202,7 @@ pub fn allocate_improvement_budget(
 /// Evaluation counts from one run of
 /// [`allocate_improvement_budget_pruned`]: how much compiled work the
 /// certified pre-pruning stage saved.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PruneStats {
     /// Greedy rounds executed (= the budget).
     pub rounds: usize,
@@ -334,10 +332,10 @@ pub fn allocate_improvement_budget_pruned(
     ))
 }
 
-/// Evaluates candidate patches through the lane-blocked batch kernel,
-/// split into contiguous chunks across `threads` OS threads. Per-candidate
-/// results are independent of batch composition, so the concatenation is
-/// bit-identical to a single-threaded call.
+/// Evaluates candidate patches through the lane-blocked batch kernel, one
+/// [`hmdiv_prob::par`] task per contiguous chunk across `threads` workers.
+/// Per-candidate results are independent of batch composition, so the
+/// in-order concatenation is bit-identical to a single-threaded call.
 fn evaluate_chunked(
     compiled: &CompiledModel,
     bound: &crate::compiled::CompiledProfile,
@@ -348,17 +346,18 @@ fn evaluate_chunked(
         return compiled.system_failure_patched_batch(bound, candidates);
     }
     let chunk = candidates.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = candidates
-            .chunks(chunk)
-            .map(|part| scope.spawn(move || compiled.system_failure_patched_batch(bound, part)))
-            .collect();
-        let mut out = Vec::with_capacity(candidates.len());
-        for handle in handles {
-            out.extend(handle.join().expect("prune evaluation worker panicked"));
-        }
-        out
-    })
+    hmdiv_prob::par::run_tasks_scoped(
+        "core.design.prune",
+        0,
+        candidates.len().div_ceil(chunk) as u64,
+        threads,
+        Vec::new,
+        |id, _rng, acc: &mut Vec<hmdiv_prob::Probability>| {
+            let start = id as usize * chunk;
+            let part = &candidates[start..candidates.len().min(start + chunk)];
+            acc.extend(compiled.system_failure_patched_batch(bound, part));
+        },
+    )
 }
 
 #[cfg(test)]

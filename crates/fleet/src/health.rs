@@ -163,11 +163,31 @@ impl FleetState {
         if c.consecutive_failures < self.policy.eject_after {
             return false;
         }
-        backend.healthy.store(false, Ordering::Release);
+        self.mark_ejected(index, &mut c);
+        true
+    }
+
+    /// Ejects a healthy backend at once, whatever its failure streak —
+    /// for a backend known to have diverged (a broadcast leg that failed
+    /// while its peers succeeded). Re-admission then goes through the
+    /// usual probe-and-sync gate. Returns `false` when it was already
+    /// ejected.
+    pub fn eject(&self, index: usize) -> bool {
+        let mut c = self.backends[index].lock();
+        if !self.is_healthy(index) {
+            return false;
+        }
+        self.mark_ejected(index, &mut c);
+        true
+    }
+
+    /// Takes `index` out of the routing set; the caller holds its lock.
+    fn mark_ejected(&self, index: usize, c: &mut Counters) {
+        c.recovery_successes = 0;
+        self.backends[index].healthy.store(false, Ordering::Release);
         c.ejections += 1;
         hmdiv_obs::counter_add("fleet.backend_ejections", 1);
         hmdiv_obs::gauge_set(&format!("fleet.backend.{index}.healthy"), 0.0);
-        true
     }
 
     /// Records a failed health probe: bumps the probe-failure counter,
@@ -305,6 +325,19 @@ mod tests {
         assert!(f.is_healthy(0));
         assert_eq!(f.healthy_indices(), [0]);
         assert_eq!(f.snapshot(0).consecutive_failures, 0);
+    }
+
+    #[test]
+    fn eject_is_immediate_and_readmission_stays_gated() {
+        let f = fleet(2, HealthPolicy::default());
+        assert!(f.eject(1));
+        assert!(!f.is_healthy(1));
+        assert!(f.is_healthy(0));
+        assert!(!f.eject(1), "already ejected");
+        assert_eq!(f.snapshot(1).ejections, 1);
+        assert_eq!(f.record_success(1), ProbeVerdict::NoChange);
+        assert_eq!(f.record_success(1), ProbeVerdict::ReadyToReadmit);
+        assert!(!f.is_healthy(1), "only readmit() returns it to service");
     }
 
     #[test]

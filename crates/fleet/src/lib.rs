@@ -20,8 +20,11 @@
 //!   replicas on a vnode hash ring, so membership changes move only
 //!   ~1/N of the keys. Stateless verbs follow the ring; the
 //!   registry-mutating verbs (`load`, `load_cohort`, `save`, `restore`)
-//!   broadcast so replicas stay converged. Request and reply lines are
-//!   forwarded *verbatim* — the fleet preserves the serve core's
+//!   broadcast so replicas stay converged; a replica whose leg fails
+//!   while its peers succeed is ejected until it re-syncs. The router
+//!   classifies each line with the replicas' own request decoder, so
+//!   both sides agree on what every line means, and forwards request
+//!   and reply lines *verbatim* — the fleet preserves the serve core's
 //!   bit-identical evaluation guarantee.
 //!
 //! * **Failover** ([`health`]) — a prober pings each replica on a
@@ -43,7 +46,6 @@ pub mod process;
 pub mod ring;
 pub mod router;
 pub mod sync;
-mod wire;
 
 pub use health::{BackendHealth, BackendSnapshot, FleetState, HealthPolicy, ProbeVerdict};
 pub use process::ReplicaSet;

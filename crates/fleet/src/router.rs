@@ -6,19 +6,24 @@
 //! [`LineReader`] framing — the same technique the serve core's poller
 //! and the loadgen driver use. Request lines are *forwarded verbatim*
 //! (replies too), so the fleet preserves the serve core's bit-identity
-//! guarantee: the router adds routing, never re-serialization. Only a
-//! shallow scan (`wire::peek`) looks at each request, extracting the
-//! verb and the raw `id` slice.
+//! guarantee: the router adds routing, never re-serialization. Each
+//! request is classified by the replicas' own decoder,
+//! [`hmdiv_serve::protocol::parse_request`], so the router and a replica
+//! always agree on a line's verb and `id` — escapes included.
 //!
 //! Routing:
 //!
-//! * **stateless verbs** (`evaluate`, `scenarios`, `ping`, …, and
-//!   anything unrecognized) hash the client connection onto the
-//!   consistent ring and follow it to the first *healthy* backend;
+//! * **stateless verbs** (`evaluate`, `scenarios`, `ping`, …, anything
+//!   unrecognized, and lines the decoder rejects — the replica then
+//!   writes the authoritative error reply) hash the client connection
+//!   onto the consistent ring and follow it to the first *healthy*
+//!   backend;
 //! * **registry-mutating verbs** (`load`, `load_cohort`, `save`,
 //!   `restore`) broadcast to every healthy backend so replicas stay
 //!   converged; the reply is the lowest-indexed backend's success (or
-//!   its error when none succeeded);
+//!   its error when none succeeded). When the legs disagree, every
+//!   failed leg's backend is ejected, so a replica that missed the write
+//!   serves again only after the probe-and-sync re-admission;
 //! * **`metrics`** is answered by the router itself with the fleet
 //!   topology — per-backend health, ejection counts, and the
 //!   router-side Prometheus exposition;
@@ -35,20 +40,19 @@
 //! peer ([`crate::sync::reconcile`]).
 
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
 use hmdiv_serve::json::{self, Json};
-use hmdiv_serve::protocol::{err_line, LineEvent, LineReader};
+use hmdiv_serve::protocol::{self, err_line, LineEvent, LineReader};
 use hmdiv_serve::shutdown::ShutdownSignal;
 use hmdiv_serve::{Client, ServeError};
 
 use crate::health::{FleetState, HealthPolicy, ProbeVerdict};
 use crate::ring::{mix64, HashRing};
 use crate::sync;
-use crate::wire;
 
 /// Verbs that must reach every healthy replica to keep their registries
 /// converged.
@@ -101,15 +105,20 @@ enum Pending {
     /// Waiting on one backend reply.
     Await {
         token: u64,
-        /// Raw id slice for synthesizing a failover error.
-        id_raw: String,
+        /// The request id, for synthesizing a failover error.
+        id: Json,
     },
     /// Waiting on every healthy backend (registry-mutating verbs).
-    Broadcast { slots: Vec<BroadcastSlot> },
+    Broadcast {
+        /// The request id, for synthesizing a failover error.
+        id: Json,
+        slots: Vec<BroadcastSlot>,
+    },
 }
 
 /// One backend's leg of a broadcast.
 struct BroadcastSlot {
+    backend: usize,
     token: u64,
     reply: Option<String>,
 }
@@ -252,10 +261,9 @@ impl Drop for Router {
 }
 
 /// Synthesizes the typed failover error reply for a lost request.
-fn unavailable_line(id_raw: &str, backend: SocketAddr) -> String {
-    let id = json::parse(id_raw).unwrap_or(Json::Null);
+fn unavailable_line(id: &Json, backend: SocketAddr) -> String {
     err_line(
-        &id,
+        id,
         None,
         &ServeError::BackendUnavailable {
             backend: backend.to_string(),
@@ -394,18 +402,17 @@ impl EventLoop {
         for client in self.clients.iter_mut().flatten() {
             for pending in &mut client.pending {
                 match pending {
-                    Pending::Await { token: t, id_raw } if *t == token => {
-                        let line = reply.unwrap_or_else(|| unavailable_line(id_raw, addr));
+                    Pending::Await { token: t, id } if *t == token => {
+                        let line = reply.unwrap_or_else(|| unavailable_line(id, addr));
                         *pending = Pending::Done(line);
                         return;
                     }
-                    Pending::Broadcast { slots } => {
+                    Pending::Broadcast { id, slots } => {
                         if let Some(slot) = slots
                             .iter_mut()
                             .find(|s| s.token == token && s.reply.is_none())
                         {
-                            slot.reply =
-                                Some(reply.unwrap_or_else(|| unavailable_line("null", addr)));
+                            slot.reply = Some(reply.unwrap_or_else(|| unavailable_line(id, addr)));
                             return;
                         }
                     }
@@ -424,29 +431,9 @@ impl EventLoop {
             let mut failed = false;
             let mut resolved: Vec<(u64, String)> = Vec::new();
             if let Some(conn) = self.backends[b].as_mut() {
-                // Writes.
-                while conn.cursor < conn.out.len() {
-                    match conn.stream.write(&conn.out[conn.cursor..]) {
-                        Ok(0) => {
-                            failed = true;
-                            break;
-                        }
-                        Ok(n) => {
-                            conn.cursor += n;
-                            progressed = true;
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                        Err(_) => {
-                            failed = true;
-                            break;
-                        }
-                    }
-                }
-                if conn.cursor == conn.out.len() && !conn.out.is_empty() {
-                    conn.out.clear();
-                    conn.cursor = 0;
-                }
+                let (wrote, dead) = write_out(&mut conn.stream, &mut conn.out, &mut conn.cursor);
+                progressed |= wrote;
+                failed = dead;
                 // Reads.
                 if !failed {
                     let mut chunk = [0_u8; 64 * 1024];
@@ -580,7 +567,7 @@ impl EventLoop {
                 if half_closed {
                     conn.half_closed = true;
                 }
-                progressed |= flush_client(conn);
+                progressed |= flush_client(conn, &self.fleet);
             }
         }
         progressed
@@ -588,33 +575,35 @@ impl EventLoop {
 
     /// Routes one complete request line from client `c`.
     fn route_request(&mut self, c: usize, line: &str) {
-        let peeked = wire::peek(line);
-        match peeked.verb {
-            Some("metrics") => {
-                let reply = self.metrics_line(peeked.id_raw);
+        let envelope = match protocol::parse_request(line) {
+            Ok(envelope) => envelope,
+            Err(_) => return self.route_stateless(c, line, protocol::fallback_id(line)),
+        };
+        match envelope.verb.as_str() {
+            "metrics" => {
+                let reply = self.metrics_line(&envelope.id);
                 if let Some(conn) = self.clients[c].as_mut() {
                     conn.pending.push_back(Pending::Done(reply));
                 }
             }
-            Some("shutdown") => {
+            "shutdown" => {
                 // Drain the router too; the broadcast tells every
                 // replica to drain as well.
-                self.broadcast(c, line);
+                self.broadcast(c, line, envelope.id);
                 self.signal.request();
             }
-            Some(verb) if BROADCAST_VERBS.contains(&verb) => self.broadcast(c, line),
-            _ => self.route_stateless(c, line, &peeked),
+            verb if BROADCAST_VERBS.contains(&verb) => self.broadcast(c, line, envelope.id),
+            _ => self.route_stateless(c, line, envelope.id),
         }
     }
 
     /// Sends `line` to the first healthy backend on the client's ring
     /// walk, lazily connecting. Synthesizes `backend_unavailable` when
     /// no backend is reachable.
-    fn route_stateless(&mut self, c: usize, line: &str, peeked: &wire::Peek<'_>) {
+    fn route_stateless(&mut self, c: usize, line: &str, id: Json) {
         let Some(ring_key) = self.clients[c].as_ref().map(|conn| conn.ring_key) else {
             return;
         };
-        let id_raw = peeked.id_raw.to_owned();
         // Walk the ring: the owner first, then the failover order. Each
         // reachable-check may eject an unreachable backend, so re-filter
         // through `is_healthy` on every step.
@@ -628,14 +617,14 @@ impl EventLoop {
                 let addr = self.fleet.addr(0);
                 if let Some(conn) = self.clients[c].as_mut() {
                     conn.pending
-                        .push_back(Pending::Done(unavailable_line(&id_raw, addr)));
+                        .push_back(Pending::Done(unavailable_line(&id, addr)));
                 }
                 return;
             };
             let b = b as usize;
             if let Some(token) = self.send_to_backend(b, line) {
                 if let Some(conn) = self.clients[c].as_mut() {
-                    conn.pending.push_back(Pending::Await { token, id_raw });
+                    conn.pending.push_back(Pending::Await { token, id });
                 }
                 return;
             }
@@ -646,7 +635,7 @@ impl EventLoop {
                 let addr = self.fleet.addr(b);
                 if let Some(conn) = self.clients[c].as_mut() {
                     conn.pending
-                        .push_back(Pending::Done(unavailable_line(&id_raw, addr)));
+                        .push_back(Pending::Done(unavailable_line(&id, addr)));
                 }
                 return;
             }
@@ -655,22 +644,25 @@ impl EventLoop {
 
     /// Sends `line` to every healthy backend; the pending entry
     /// resolves once all legs answer (or die).
-    fn broadcast(&mut self, c: usize, line: &str) {
+    fn broadcast(&mut self, c: usize, line: &str, id: Json) {
         let healthy = self.fleet.healthy_indices();
         let mut slots = Vec::new();
         for b in healthy {
             if let Some(token) = self.send_to_backend(b, line) {
-                slots.push(BroadcastSlot { token, reply: None });
+                slots.push(BroadcastSlot {
+                    backend: b,
+                    token,
+                    reply: None,
+                });
             } else {
                 self.fleet.record_failure(b);
             }
         }
         let pending = if slots.is_empty() {
             // No backend reachable at all.
-            let peeked = wire::peek(line);
-            Pending::Done(unavailable_line(peeked.id_raw, self.fleet.addr(0)))
+            Pending::Done(unavailable_line(&id, self.fleet.addr(0)))
         } else {
-            Pending::Broadcast { slots }
+            Pending::Broadcast { id, slots }
         };
         if let Some(conn) = self.clients[c].as_mut() {
             conn.pending.push_back(pending);
@@ -705,7 +697,7 @@ impl EventLoop {
 
     /// The router-local `metrics` reply: fleet topology plus the
     /// process-wide Prometheus exposition.
-    fn metrics_line(&self, id_raw: &str) -> String {
+    fn metrics_line(&self, id: &Json) -> String {
         let snapshot = hmdiv_obs::snapshot();
         let backends: Vec<Json> = (0..self.fleet.len())
             .map(|b| {
@@ -740,8 +732,7 @@ impl EventLoop {
                 ]),
             ),
         ]);
-        let id = json::parse(id_raw).unwrap_or(Json::Null);
-        hmdiv_serve::protocol::ok_line(&id, None, result)
+        protocol::ok_line(id, None, result)
     }
 
     /// Drops finished/dead client connections. While draining, an idle
@@ -768,12 +759,12 @@ impl EventLoop {
 
 /// Flushes resolved head-of-queue replies into the socket, preserving
 /// request order per connection. Returns whether any byte moved.
-fn flush_client(conn: &mut ClientConn) -> bool {
+fn flush_client(conn: &mut ClientConn, fleet: &FleetState) -> bool {
     // Resolve fully-answered broadcasts at the head.
     loop {
         match conn.pending.front_mut() {
-            Some(Pending::Broadcast { slots }) if slots.iter().all(|s| s.reply.is_some()) => {
-                let line = pick_broadcast_reply(slots);
+            Some(Pending::Broadcast { slots, .. }) if slots.iter().all(|s| s.reply.is_some()) => {
+                let line = settle_broadcast(slots, fleet);
                 *conn.pending.front_mut().expect("front exists") = Pending::Done(line);
             }
             _ => {}
@@ -788,46 +779,69 @@ fn flush_client(conn: &mut ClientConn) -> bool {
             _ => break,
         }
     }
+    let (progressed, dead) = write_out(&mut conn.stream, &mut conn.out, &mut conn.cursor);
+    conn.dead |= dead;
+    progressed
+}
+
+/// Writes as much of `out[*cursor..]` as the nonblocking socket takes,
+/// clearing the buffer once it is fully flushed. Returns whether any
+/// byte moved and whether the connection died.
+fn write_out(stream: &mut TcpStream, out: &mut Vec<u8>, cursor: &mut usize) -> (bool, bool) {
     let mut progressed = false;
-    while conn.cursor < conn.out.len() {
-        match conn.stream.write(&conn.out[conn.cursor..]) {
+    let mut dead = false;
+    while *cursor < out.len() {
+        match stream.write(&out[*cursor..]) {
             Ok(0) => {
-                conn.dead = true;
+                dead = true;
                 break;
             }
             Ok(n) => {
-                conn.cursor += n;
+                *cursor += n;
                 progressed = true;
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(_) => {
-                conn.dead = true;
+                dead = true;
                 break;
             }
         }
     }
-    if conn.cursor == conn.out.len() && !conn.out.is_empty() {
-        conn.out.clear();
-        conn.cursor = 0;
+    if *cursor == out.len() && !out.is_empty() {
+        out.clear();
+        *cursor = 0;
     }
-    progressed
+    (progressed, dead)
+}
+
+/// Whether a reply line is a success envelope (`"ok": true`).
+fn is_ok_reply(line: &str) -> bool {
+    json::parse(line)
+        .ok()
+        .and_then(|r| r.get("ok").and_then(Json::as_bool))
+        == Some(true)
 }
 
 /// The broadcast reply the client sees: the lowest-indexed backend's
-/// success, or (when every leg failed) the lowest-indexed reply.
-fn pick_broadcast_reply(slots: &[BroadcastSlot]) -> String {
-    let lines: Vec<&String> = slots.iter().filter_map(|s| s.reply.as_ref()).collect();
-    lines
+/// success, or (when every leg failed) the lowest-indexed reply. When
+/// some legs succeeded, each failed leg's backend missed a write its
+/// peers applied, so it is ejected until a registry sync re-admits it.
+fn settle_broadcast(slots: &[BroadcastSlot], fleet: &FleetState) -> String {
+    let ok: Vec<bool> = slots
         .iter()
-        .find(|line| {
-            json::parse(line)
-                .ok()
-                .and_then(|r| r.get("ok").and_then(Json::as_bool))
-                == Some(true)
-        })
-        .or_else(|| lines.first())
-        .map_or_else(String::new, |line| (*line).clone())
+        .map(|s| s.reply.as_deref().is_some_and(is_ok_reply))
+        .collect();
+    let Some(winner) = ok.iter().position(|&ok| ok) else {
+        return slots
+            .first()
+            .and_then(|s| s.reply.clone())
+            .unwrap_or_default();
+    };
+    for (slot, _) in slots.iter().zip(&ok).filter(|(_, ok)| !**ok) {
+        fleet.eject(slot.backend);
+    }
+    slots[winner].reply.clone().unwrap_or_default()
 }
 
 /// The health prober: pings every backend each interval, ejects after
@@ -869,25 +883,8 @@ fn probe_once(addr: SocketAddr, timeout: Duration) -> bool {
     if stream.write_all(b"{\"id\":0,\"verb\":\"ping\"}\n").is_err() {
         return false;
     }
-    let mut buf = Vec::new();
-    let mut chunk = [0_u8; 1024];
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => return false,
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                if buf.contains(&b'\n') {
-                    let line = String::from_utf8_lossy(&buf);
-                    return json::parse(line.lines().next().unwrap_or(""))
-                        .ok()
-                        .and_then(|r| r.get("ok").and_then(Json::as_bool))
-                        == Some(true);
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return false,
-        }
-    }
+    let mut line = String::new();
+    BufReader::new(stream).read_line(&mut line).is_ok() && is_ok_reply(&line)
 }
 
 /// Reconciles backend `b`'s registry from the lowest-indexed healthy

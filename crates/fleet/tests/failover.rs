@@ -4,10 +4,13 @@
 //! after its registry syncs back, leaving all three manifests
 //! byte-identical.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+mod common;
+
+use std::io::{BufRead, BufReader};
+use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 
+use common::{raw_exchange, raw_manifest_line, PAPER_CLASSES};
 use hmdiv_fleet::{Router, RouterConfig};
 use hmdiv_serve::{json, Client, Json, ServeError, Server, ServerConfig};
 
@@ -31,6 +34,37 @@ fn router_config(backends: Vec<SocketAddr>) -> RouterConfig {
         readmit_after: 1,
         ..RouterConfig::default()
     }
+}
+
+/// Router config whose prober stays idle for the whole test, so every
+/// ejection comes from the request path.
+fn quiet_router_config(backends: Vec<SocketAddr>) -> RouterConfig {
+    RouterConfig {
+        backends,
+        probe_interval: Duration::from_secs(3600),
+        ..RouterConfig::default()
+    }
+}
+
+/// A fake backend that accepts each connection, reads one request line
+/// and hangs up without replying — a replica dying mid-request.
+fn hang_up_backend() -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake backend");
+    let addr = listener.local_addr().expect("fake backend addr");
+    std::thread::spawn(move || {
+        for stream in listener.incoming().flatten() {
+            let mut line = String::new();
+            drop(BufReader::new(stream).read_line(&mut line));
+        }
+    });
+    addr
+}
+
+/// Loads the paper model through `router` with a raw request carrying
+/// `id`, returning the parsed reply.
+fn raw_load(router: SocketAddr, id: &str) -> Json {
+    let line = format!(r#"{{"id":{id},"verb":"load","classes":{PAPER_CLASSES}}}"#);
+    json::parse(&raw_exchange(router, &line)).expect("reply is JSON")
 }
 
 fn field_profile() -> (String, Json) {
@@ -62,17 +96,6 @@ fn wait_for(what: &str, deadline: Duration, mut cond: impl FnMut() -> bool) {
     }
 }
 
-/// The raw single-line `manifest` reply from a replica, byte for byte.
-fn raw_manifest_line(addr: SocketAddr) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .write_all(b"{\"id\":1,\"verb\":\"manifest\"}\n")
-        .expect("write");
-    let mut line = String::new();
-    BufReader::new(stream).read_line(&mut line).expect("read");
-    line
-}
-
 #[test]
 fn killing_one_of_three_replicas_keeps_answers_bit_identical() {
     // The paper's model evaluated directly in process: the reference
@@ -101,11 +124,7 @@ fn killing_one_of_three_replicas_keeps_answers_bit_identical() {
             "load",
             vec![(
                 "classes".to_owned(),
-                json::parse(
-                    r#"{"easy":      {"p_mf":0.07,"p_hf_given_ms":0.14,"p_hf_given_mf":0.18},
-                        "difficult": {"p_mf":0.41,"p_hf_given_ms":0.40,"p_hf_given_mf":0.90}}"#,
-                )
-                .expect("static JSON"),
+                json::parse(PAPER_CLASSES).expect("static JSON"),
             )],
         )
         .expect("broadcast load");
@@ -212,4 +231,39 @@ fn shutdown_verb_through_the_router_drains_the_whole_fleet() {
         server.join();
     }
     router.join();
+}
+
+#[test]
+fn broadcast_leg_that_dies_echoes_the_client_id() {
+    let router = Router::start(quiet_router_config(vec![hang_up_backend()])).expect("router start");
+    let reply = raw_load(router.addr(), r#""load-7""#);
+    assert_eq!(reply.get("id"), Some(&Json::str("load-7")));
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(
+        reply
+            .get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(Json::as_str),
+        Some("backend_unavailable")
+    );
+    router.shutdown();
+}
+
+#[test]
+fn partial_broadcast_ejects_the_failed_leg() {
+    let replica = Server::start(replica_config("127.0.0.1:0")).expect("replica start");
+    let router = Router::start(quiet_router_config(vec![replica.addr(), hang_up_backend()]))
+        .expect("router start");
+    // The live replica admits the model, so the client sees its success...
+    let reply = raw_load(router.addr(), "3");
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
+    // ...and the leg that died has missed the write: it leaves the ring
+    // at once instead of serving `unknown_model` for the new id.
+    assert!(
+        !router.fleet().is_healthy(1),
+        "failed leg still in rotation"
+    );
+    assert!(router.fleet().is_healthy(0));
+    router.shutdown();
+    replica.shutdown();
 }

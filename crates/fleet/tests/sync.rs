@@ -1,12 +1,12 @@
 //! Two-replica registry reconciliation over real loopback sockets:
 //! artifacts of every kind ship across, each transfer is re-hashed and
 //! re-gated on the receiver, and a converged pair has *byte-identical*
-//! manifests.
+//! manifests — also when a write reaches them through the router.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+mod common;
 
-use hmdiv_fleet::sync;
+use common::{raw_exchange, raw_manifest_line, PAPER_CLASSES};
+use hmdiv_fleet::{sync, Router, RouterConfig};
 use hmdiv_serve::{json, Client, Json, Server, ServerConfig};
 
 fn start() -> Server {
@@ -16,11 +16,7 @@ fn start() -> Server {
 fn load_paper_model(client: &mut Client) -> String {
     let classes = (
         "classes".to_owned(),
-        json::parse(
-            r#"{"easy":      {"p_mf":0.07,"p_hf_given_ms":0.14,"p_hf_given_mf":0.18},
-                "difficult": {"p_mf":0.41,"p_hf_given_ms":0.40,"p_hf_given_mf":0.90}}"#,
-        )
-        .expect("static JSON"),
+        json::parse(PAPER_CLASSES).expect("static JSON"),
     );
     let receipt = client.request("load", vec![classes]).expect("load");
     receipt
@@ -51,17 +47,6 @@ fn load_cohort(client: &mut Client) -> String {
         .and_then(Json::as_str)
         .expect("receipt carries model_id")
         .to_owned()
-}
-
-/// The raw single-line `manifest` reply, byte for byte.
-fn raw_manifest_line(addr: SocketAddr) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .write_all(b"{\"id\":1,\"verb\":\"manifest\"}\n")
-        .expect("write");
-    let mut line = String::new();
-    BufReader::new(stream).read_line(&mut line).expect("read");
-    line
 }
 
 #[test]
@@ -128,4 +113,33 @@ fn reconcile_converges_two_replicas_and_manifests_match_byte_for_byte() {
 
     source_server.shutdown();
     dest_server.shutdown();
+}
+
+#[test]
+fn escaped_verb_load_through_the_router_reaches_every_replica() {
+    let replicas = [start(), start()];
+    let router = Router::start(RouterConfig {
+        backends: replicas.iter().map(Server::addr).collect(),
+        ..RouterConfig::default()
+    })
+    .expect("router start");
+
+    // `lo\u0061d` decodes to `load`: the router must read the verb the
+    // way the replicas do and broadcast it.
+    let line = format!(r#"{{"id":1,"verb":"lo\u0061d","classes":{PAPER_CLASSES}}}"#);
+    let reply = json::parse(&raw_exchange(router.addr(), &line)).expect("reply is JSON");
+    let model_id = reply
+        .get("result")
+        .and_then(|r| r.get("model_id"))
+        .and_then(Json::as_str)
+        .expect("load receipt");
+
+    let first = raw_manifest_line(replicas[0].addr());
+    assert!(first.contains(model_id), "replica 0 lacks the model");
+    assert_eq!(raw_manifest_line(replicas[1].addr()), first);
+
+    router.shutdown();
+    for server in replicas {
+        server.shutdown();
+    }
 }

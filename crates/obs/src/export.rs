@@ -2,7 +2,8 @@
 //!
 //! Both render an immutable [`Snapshot`], whose `BTreeMap`s make the output
 //! deterministic — golden tests pin the exact bytes. Neither pulls in a
-//! serialisation dependency: the JSON writer escapes strings itself and the
+//! serialisation dependency: the JSON writer escapes strings with
+//! [`write_json_string`] (shared with the rest of the workspace) and the
 //! Prometheus writer follows the text exposition format (counters and
 //! gauges verbatim, histograms with cumulative `le` buckets in seconds).
 
@@ -122,9 +123,22 @@ pub fn to_prometheus(snapshot: &Snapshot) -> String {
     out
 }
 
-/// Quotes and escapes a JSON string.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Appends `s` to `out` as a quoted JSON string literal: `"` and `\\` are
+/// backslash-escaped, `\n`/`\r`/`\t` take their short escapes, any other
+/// control character below U+0020 becomes `\\u00xx`, and everything else
+/// (non-BMP characters included) is copied verbatim.
+///
+/// This is the workspace's one JSON string escaper: the serve wire codec
+/// and the analyzer's diagnostic renderer call it too, so every JSON
+/// string the system emits is escaped the same way.
+///
+/// ```
+/// let mut out = String::new();
+/// hmdiv_obs::export::write_json_string(&mut out, "a\"b\u{1}");
+/// assert_eq!(out, r#""a\"b\u0001""#);
+/// ```
+#[inline]
+pub fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -140,6 +154,12 @@ fn json_string(s: &str) -> String {
         }
     }
     out.push('"');
+}
+
+/// [`write_json_string`] into a fresh `String`.
+fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    write_json_string(&mut out, s);
     out
 }
 

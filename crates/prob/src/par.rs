@@ -188,40 +188,30 @@ where
         .max(1);
     let observing = hmdiv_obs::enabled_for(scope);
     let wall = observing.then(Instant::now);
-    let (acc, sink) = if threads == 1 {
+    // One worker's contiguous block: its partial accumulator plus, when
+    // observing, its busy-time stat.
+    let work = |range: Range<u64>| {
         let worker_start = observing.then(Instant::now);
+        let quota = range.end - range.start;
         let mut acc = init();
-        run_range(0..tasks, seed, &task, &mut acc);
+        run_range(range, seed, &task, &mut acc);
         let mut sink = MetricSink::new();
         if let Some(start) = worker_start {
             sink.push_worker(WorkerStat {
-                tasks,
+                tasks: quota,
                 busy_ns: elapsed_ns(start),
             });
         }
         (acc, sink)
+    };
+    let (acc, sink) = if threads == 1 {
+        work(0..tasks)
     } else {
-        let init = &init;
-        let task = &task;
-        crossbeam::thread::scope(|thread_scope| {
+        let work = &work;
+        std::thread::scope(|thread_scope| {
             let handles: Vec<_> = split_evenly(tasks, threads)
                 .into_iter()
-                .map(|range| {
-                    thread_scope.spawn(move |_| {
-                        let worker_start = observing.then(Instant::now);
-                        let quota = range.end - range.start;
-                        let mut acc = init();
-                        run_range(range, seed, task, &mut acc);
-                        let mut sink = MetricSink::new();
-                        if let Some(start) = worker_start {
-                            sink.push_worker(WorkerStat {
-                                tasks: quota,
-                                busy_ns: elapsed_ns(start),
-                            });
-                        }
-                        (acc, sink)
-                    })
-                })
+                .map(|range| thread_scope.spawn(move || work(range)))
                 .collect();
             let mut acc = init();
             let mut sink = MetricSink::new();
@@ -232,7 +222,6 @@ where
             }
             (acc, sink)
         })
-        .expect("parallel scope panicked")
     };
     if let Some(start) = wall {
         let wall_ns = elapsed_ns(start);

@@ -1,9 +1,9 @@
 //! A minimal JSON value type with a hand-rolled parser and renderer.
 //!
-//! The workspace's vendored `serde` is an offline marker stub with no
-//! derive-driven serialization, so the wire layer rolls its own JSON, the
-//! way `hmdiv_obs::export` already does for snapshots. Two properties
-//! matter for the serve protocol and are guaranteed here:
+//! The workspace has no serialization framework, so the wire layer rolls
+//! its own JSON; strings are escaped by the one shared escaper,
+//! [`hmdiv_obs::export::write_json_string`]. Two properties matter for the
+//! serve protocol and are guaranteed here:
 //!
 //! * **Objects preserve key order** ([`Json::Obj`] is a `Vec` of pairs, not
 //!   a map). A demand profile arrives as a JSON object, and
@@ -18,6 +18,8 @@
 //! stack) and byte-offset error reporting.
 
 use std::fmt;
+
+use hmdiv_obs::export::write_json_string;
 
 /// Maximum nesting depth the parser accepts.
 const MAX_DEPTH: usize = 64;
@@ -116,7 +118,7 @@ impl Json {
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
             Json::Num(v) => write_number(*v, out),
-            Json::Str(s) => write_string(s, out),
+            Json::Str(s) => write_json_string(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -133,7 +135,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_string(k, out);
+                    write_json_string(out, k);
                     out.push(':');
                     v.write(out);
                 }
@@ -162,26 +164,6 @@ fn write_number(v: f64, out: &mut String) {
     } else {
         out.push_str("null");
     }
-}
-
-/// Renders a string with the mandatory JSON escapes.
-fn write_string(s: &str, out: &mut String) {
-    use fmt::Write as _;
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// A parse failure: what went wrong and the byte offset where.
@@ -515,7 +497,7 @@ mod tests {
     fn string_escapes_round_trip() {
         let original = "line\nbreak \"quoted\" back\\slash tab\t control\u{1} snowman\u{2603}";
         let mut s = String::new();
-        write_string(original, &mut s);
+        write_json_string(&mut s, original);
         assert_eq!(parse(&s).unwrap().as_str().unwrap(), original);
         // Unicode escapes parse too, including surrogate pairs.
         assert_eq!(

@@ -230,6 +230,16 @@ pub fn parse_request(line: &str) -> Result<Envelope, ServeError> {
     })
 }
 
+/// The `id` a reply to `line` echoes when [`parse_request`] rejected it:
+/// the `id` member of any JSON object line, else `null`.
+#[must_use]
+pub fn fallback_id(line: &str) -> Json {
+    json::parse(line)
+        .ok()
+        .and_then(|j| j.get("id").cloned())
+        .unwrap_or(Json::Null)
+}
+
 /// Renders a success response line (newline included). A client-supplied
 /// trace id is echoed as a `trace_id` envelope member.
 #[must_use]

@@ -36,7 +36,7 @@ use hmdiv_obs::{FlightRecorder, RequestRecord, Stage, StageSet, TraceId, TraceOu
 
 use crate::batcher::{Batcher, Outcome, Ticket, Waker, Work};
 use crate::error::ServeError;
-use crate::json::{self, Json};
+use crate::json::Json;
 use crate::poller::PollerPool;
 use crate::protocol::{self, Envelope};
 use crate::registry::{Artifact, LoadReceipt, Registry};
@@ -478,12 +478,8 @@ pub(crate) fn route_line(
         }
         Err(e) => {
             // Best effort: echo the id even when the envelope is bad.
-            let id = json::parse(line)
-                .ok()
-                .and_then(|j| j.get("id").cloned())
-                .unwrap_or(Json::Null);
             RequestSlot {
-                id,
+                id: protocol::fallback_id(line),
                 echo: None,
                 trace: None,
                 routed: Err(e),
