@@ -20,8 +20,8 @@
 use std::io::Write as _;
 use std::time::Duration;
 
+use hmdiv_bench::loadgen::{self, LoadgenConfig};
 use hmdiv_fleet::{Router, RouterConfig};
-use hmdiv_serve::loadgen::{self, LoadgenConfig};
 use hmdiv_serve::{json, Client, Json, Server, ServerConfig};
 
 /// Starts `n` single-threaded replicas plus the router, and loads the

@@ -1,7 +1,7 @@
 //! Concurrency scaling of the event-driven serve core: shed-vs-served
 //! curves under hundreds-to-thousands of concurrent keep-alive
-//! connections, driven by the crate's own single-threaded
-//! [`hmdiv_serve::loadgen`] event loop against a fixed poller pool.
+//! connections, driven by the single-threaded [`hmdiv_bench::loadgen`]
+//! event loop against a fixed poller pool.
 //!
 //! Not a criterion microbenchmark — the quantity of interest is the
 //! admission ledger (served / shed-overloaded / shed-deadline and the
@@ -10,14 +10,15 @@
 //!
 //! Default run (what `cargo bench` / `cargo bench -- --test` executes) is
 //! a smoke-sized sweep so CI stays fast. Set `HMDIV_LOADGEN=1` for the
-//! full curve (1024 connections on an 8-thread-or-fewer poller pool, the
-//! PR-8 acceptance run) and `HMDIV_LOADGEN_OUT=PATH` to also write the
-//! JSON report to a file — the source of `BENCH_pr8.json`.
+//! full curve: 16, 64, 256 and 1024 connections at pipeline depth 1 on
+//! an 8-thread-or-fewer poller pool, 16384 requests per step, so the
+//! served rate at 1024 connections can be set against the rate at 64.
+//! `HMDIV_LOADGEN_OUT=PATH` also writes the JSON report to a file.
 
 use std::io::Write as _;
 use std::time::Duration;
 
-use hmdiv_serve::loadgen::{self, LoadgenConfig};
+use hmdiv_bench::loadgen::{self, LoadgenConfig};
 use hmdiv_serve::{json, Client, Json, Server, ServerConfig};
 
 /// One concurrency step of the sweep.
@@ -66,15 +67,15 @@ fn main() {
             .max(2),
     );
     let steps: Vec<Step> = if full {
-        // The acceptance curve: hold >=1000 keep-alive sockets on <=8
-        // poller threads and sweep pipeline depth so load rises past the
-        // admission capacity, exposing the shed knee.
-        [1, 2, 4, 8]
+        // The connection-count curve: the same request volume spread over
+        // ever more keep-alive sockets on <=8 poller threads. A readiness
+        // core that services only ready sockets keeps the rate flat.
+        [16, 64, 256, 1024]
             .into_iter()
-            .map(|depth| Step {
-                connections: 1024,
-                pipeline_depth: depth,
-                requests_per_connection: 16,
+            .map(|connections| Step {
+                connections,
+                pipeline_depth: 1,
+                requests_per_connection: 16384 / connections,
             })
             .collect()
     } else {
@@ -118,11 +119,13 @@ fn main() {
         let secs = report.elapsed_ns as f64 / 1e9;
         #[allow(clippy::cast_precision_loss)]
         let rate = report.replies() as f64 / secs;
+        #[allow(clippy::cast_precision_loss)]
+        let served_rate = report.served as f64 / secs;
         let row = format!(
             "{{\"connections\": {}, \"pipeline_depth\": {}, \"pollers\": {}, \
              \"sent\": {}, \"served\": {}, \"shed_overloaded\": {}, \
              \"shed_deadline\": {}, \"errors\": {}, \"completed_connections\": {}, \
-             \"elapsed_s\": {:.3}, \"replies_per_s\": {:.0}}}",
+             \"elapsed_s\": {:.3}, \"replies_per_s\": {:.0}, \"served_per_s\": {:.0}}}",
             report.connections,
             step.pipeline_depth,
             pollers,
@@ -134,6 +137,7 @@ fn main() {
             report.completed_connections,
             secs,
             rate,
+            served_rate,
         );
         println!("serve_loadgen: {row}");
         rows.push(row);

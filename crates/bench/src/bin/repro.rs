@@ -535,7 +535,7 @@ fn route_main(args: &[String]) -> ExitCode {
 /// Drives one or more serving endpoints with pipelined keep-alive
 /// connections and prints the JSON report (per-target splits included).
 fn loadgen_main(args: &[String]) -> ExitCode {
-    let mut config = hmdiv_serve::LoadgenConfig {
+    let mut config = hmdiv_bench::loadgen::LoadgenConfig {
         targets: Vec::new(),
         connections: 4,
         pipeline_depth: 8,
@@ -602,7 +602,7 @@ fn loadgen_main(args: &[String]) -> ExitCode {
         eprintln!("{msg}");
         return ExitCode::FAILURE;
     }
-    match hmdiv_serve::loadgen::run(&config) {
+    match hmdiv_bench::loadgen::run(&config) {
         Ok(report) => {
             println!("{}", loadgen_report_json(&report));
             ExitCode::SUCCESS
@@ -616,7 +616,7 @@ fn loadgen_main(args: &[String]) -> ExitCode {
 
 /// Renders a loadgen report as one JSON object, per-target splits and a
 /// derived served-per-second rate included.
-fn loadgen_report_json(report: &hmdiv_serve::LoadgenReport) -> String {
+fn loadgen_report_json(report: &hmdiv_bench::loadgen::LoadgenReport) -> String {
     #[allow(clippy::cast_precision_loss)]
     let rate = if report.elapsed_ns == 0 {
         0.0

@@ -7,6 +7,7 @@ use hmdiv_core::{paper, ClassId, DemandProfile, ModelError, SequentialModel};
 
 pub mod check;
 pub mod compare;
+pub mod loadgen;
 
 /// A named experiment row: paper value vs regenerated value.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,12 +1,13 @@
-//! A built-in load generator for the event-driven server.
+//! A load generator for the event-driven server and the fleet router.
 //!
 //! One thread drives an arbitrary number of concurrent keep-alive
-//! connections with the same nonblocking-socket technique the server's
-//! poller uses, so a single benchmark process can hold a thousand open
-//! sockets against a poller pool without spawning a thousand client
-//! threads. Each connection pipelines up to `pipeline_depth` copies of
-//! one request line and keeps refilling until its per-connection quota
-//! is sent, then half-closes and drains.
+//! connections over nonblocking sockets, waiting on the serve core's
+//! [`Reactor`] like the server's poller shards, so a single benchmark
+//! process can hold a thousand open sockets against a poller pool
+//! without spawning a thousand client threads. Each connection
+//! pipelines up to `pipeline_depth` copies of one request line and keeps
+//! refilling until its per-connection quota is sent, then half-closes
+//! and drains.
 //!
 //! Replies are classified by their wire shape — served (`"ok":true`),
 //! shed (`overloaded` / `deadline_exceeded` error codes), or other
@@ -19,12 +20,13 @@
 //! so one run can compare direct-to-replica against through-router
 //! service or spot an unhealthy fleet member by its error share.
 
-use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use crate::error::ServeError;
-use crate::json::{self, Json};
+use hmdiv_serve::json::{self, Json};
+use hmdiv_serve::protocol::{LineEvent, LineReader};
+use hmdiv_serve::reactor::{write_buffered, Interest, Reactor};
+use hmdiv_serve::ServeError;
 
 /// What the generator should drive at the server(s).
 #[derive(Debug, Clone)]
@@ -150,14 +152,16 @@ impl LoadgenReport {
 /// One driven connection's progress.
 struct Driven {
     stream: TcpStream,
+    /// The interest last given to the reactor.
+    registered: Interest,
     /// Index into [`LoadgenConfig::targets`] this connection drives.
     target: usize,
     /// Bytes queued for the socket (whole request lines).
     out: Vec<u8>,
     /// Write cursor into `out`.
     cursor: usize,
-    /// Reply bytes not yet framed into a line.
-    inbuf: Vec<u8>,
+    /// Frames the replies.
+    replies: LineReader,
     /// Request lines fully handed to the kernel.
     sent: usize,
     /// Reply lines consumed.
@@ -174,10 +178,11 @@ impl Driven {
         stream.set_nonblocking(true)?;
         Ok(Driven {
             stream,
+            registered: Interest::NONE,
             target,
             out: Vec::new(),
             cursor: 0,
-            inbuf: Vec::new(),
+            replies: LineReader::new(usize::MAX),
             sent: 0,
             got: 0,
             failed: false,
@@ -185,94 +190,71 @@ impl Driven {
         })
     }
 
-    /// Runs one nonblocking step: top up the pipeline, push writes, pull
-    /// and classify replies. Returns whether any byte moved.
-    fn step(&mut self, cfg: &LoadgenConfig, report: &mut LoadgenReport) -> bool {
+    /// Runs one nonblocking step: pull and classify replies, then top
+    /// up the pipeline and push writes. Reading first lets the replies
+    /// that just arrived make room for the next requests at once.
+    fn step(&mut self, cfg: &LoadgenConfig, report: &mut LoadgenReport) {
         if self.done {
-            return false;
+            return;
         }
-        let mut progressed = false;
-        // Keep `pipeline_depth` requests outstanding until the quota is
-        // queued. `sent` counts fully queued lines; the write cursor
-        // below may still owe the kernel some of their bytes.
-        while self.sent < cfg.requests_per_connection && self.sent - self.got < cfg.pipeline_depth {
-            self.out.extend_from_slice(cfg.request_line.as_bytes());
-            self.sent += 1;
-            report.charge_sent(self.target);
-        }
-        while self.cursor < self.out.len() {
-            match self.stream.write(&self.out[self.cursor..]) {
-                Ok(0) => {
-                    self.fail(report);
-                    return true;
-                }
-                Ok(n) => {
-                    self.cursor += n;
-                    progressed = true;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.fail(report);
-                    return true;
-                }
-            }
-        }
-        if self.cursor == self.out.len() && !self.out.is_empty() {
-            self.out.clear();
-            self.cursor = 0;
-            if self.sent == cfg.requests_per_connection {
-                // Quota fully written: half-close so the server sees EOF
-                // once its replies drain.
-                drop(self.stream.shutdown(std::net::Shutdown::Write));
-            }
-        }
+        let quota = cfg.requests_per_connection;
         let mut chunk = [0u8; 16 * 1024];
-        loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    if self.got < self.sent || self.sent < cfg.requests_per_connection {
-                        // Server hung up with replies (or quota) owed.
-                        self.fail(report);
-                    } else {
-                        self.done = true;
-                    }
-                    return true;
-                }
-                Ok(n) => {
-                    progressed = true;
-                    self.inbuf.extend_from_slice(&chunk[..n]);
-                    self.drain_lines(cfg.requests_per_connection, report);
-                    if self.done {
-                        return true;
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.fail(report);
-                    return true;
-                }
-            }
-        }
-        progressed
-    }
-
-    /// Frames and classifies every complete reply line in `inbuf`.
-    fn drain_lines(&mut self, quota: usize, report: &mut LoadgenReport) {
-        let mut start = 0;
-        while let Some(pos) = self.inbuf[start..].iter().position(|&b| b == b'\n') {
-            let line = &self.inbuf[start..start + pos];
-            report.charge(self.target, classify(line));
+        let read = self
+            .replies
+            .read_from(&mut self.stream, &mut chunk, usize::MAX);
+        while let Some(event) = self.replies.next_event() {
+            let bucket = match event {
+                LineEvent::Line(line) => classify(&line),
+                LineEvent::TooLong { .. } | LineEvent::InvalidUtf8 => Bucket::Error,
+            };
+            report.charge(self.target, bucket);
             self.got += 1;
-            start += pos + 1;
         }
-        self.inbuf.drain(..start);
+        match read {
+            Ok((_, false)) => {}
+            Ok((_, true)) if self.got == self.sent && self.sent == quota => {
+                self.done = true;
+                return;
+            }
+            // Server hung up with replies (or quota) owed, or the socket
+            // broke.
+            _ => return self.fail(report),
+        }
         if self.sent == quota && self.got == self.sent && self.out.is_empty() {
             // Full quota sent, every reply in, nothing left to write.
             // The server will close after our half-close, but the
             // ledger is already balanced.
             self.done = true;
+            return;
+        }
+        // Keep `pipeline_depth` requests outstanding until the quota is
+        // queued. `sent` counts fully queued lines; the write cursor
+        // below may still owe the kernel some of their bytes.
+        while self.sent < quota && self.sent - self.got < cfg.pipeline_depth {
+            self.out.extend_from_slice(cfg.request_line.as_bytes());
+            self.sent += 1;
+            report.charge_sent(self.target);
+        }
+        match write_buffered(&mut self.stream, &mut self.out, &mut self.cursor) {
+            Ok(n) if n > 0 && self.out.is_empty() && self.sent == quota => {
+                // Quota fully written: half-close so the server sees EOF
+                // once its replies drain.
+                drop(self.stream.shutdown(std::net::Shutdown::Write));
+            }
+            Ok(_) => {}
+            Err(_) => self.fail(report),
+        }
+    }
+
+    /// What to wait for next: replies until done, room to write only
+    /// while queued requests are blocked.
+    fn interest(&self) -> Interest {
+        if self.done {
+            return Interest::NONE;
+        }
+        Interest {
+            read: true,
+            write: self.cursor < self.out.len(),
         }
     }
 
@@ -295,11 +277,8 @@ enum Bucket {
 }
 
 /// Buckets one reply line by its wire shape.
-fn classify(line: &[u8]) -> Bucket {
-    let parsed = std::str::from_utf8(line)
-        .ok()
-        .and_then(|s| json::parse(s).ok());
-    let Some(reply) = parsed else {
+fn classify(line: &str) -> Bucket {
+    let Ok(reply) = json::parse(line) else {
         return Bucket::Error;
     };
     if reply.get("ok").and_then(Json::as_bool) == Some(true) {
@@ -352,26 +331,39 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
         }
     }
     report.connections = conns.len();
-    let mut idle_backoff = Duration::from_micros(100);
-    while conns.iter().any(|c| !c.done) {
-        if start.elapsed() > cfg.timeout {
-            for c in &mut conns {
-                if !c.done {
-                    c.fail(&mut report);
-                }
+    let mut reactor = Reactor::new()?;
+    // The first pass sends every connection's opening requests.
+    let mut ready: Vec<usize> = (0..conns.len()).collect();
+    let mut open = conns.len();
+    while open > 0 {
+        for &i in &ready {
+            let c = &mut conns[i];
+            if c.done {
+                continue;
             }
+            c.step(cfg, &mut report);
+            let want = c.interest();
+            if reactor
+                .set_interest(&c.stream, i, &mut c.registered, want)
+                .is_err()
+                && !c.done
+            {
+                c.fail(&mut report);
+            }
+            if c.done {
+                open -= 1;
+            }
+        }
+        let Some(left) = cfg.timeout.checked_sub(start.elapsed()) else {
             break;
+        };
+        if open > 0 {
+            reactor.wait(&mut ready, Some(left))?;
         }
-        let mut progressed = false;
-        for c in &mut conns {
-            progressed |= c.step(cfg, &mut report);
-        }
-        if progressed {
-            idle_backoff = Duration::from_micros(100);
-        } else {
-            std::thread::sleep(idle_backoff);
-            idle_backoff = (idle_backoff * 2).min(Duration::from_millis(2));
-        }
+    }
+    for c in conns.iter_mut().filter(|c| !c.done) {
+        // Timed out: charge what is still owed.
+        c.fail(&mut report);
     }
     report.completed_connections = conns.iter().filter(|c| c.done && !c.failed).count();
     report.elapsed_ns = start.elapsed().as_nanos();
@@ -385,22 +377,22 @@ mod tests {
     #[test]
     fn classify_buckets_by_wire_shape() {
         assert_eq!(
-            classify(br#"{"id":1,"ok":true,"result":{"pong":true}}"#),
+            classify(r#"{"id":1,"ok":true,"result":{"pong":true}}"#),
             Bucket::Served
         );
         assert_eq!(
-            classify(br#"{"id":2,"ok":false,"error":{"code":"overloaded","message":"x"}}"#),
+            classify(r#"{"id":2,"ok":false,"error":{"code":"overloaded","message":"x"}}"#),
             Bucket::ShedOverloaded
         );
         assert_eq!(
-            classify(br#"{"id":3,"ok":false,"error":{"code":"deadline_exceeded","message":"x"}}"#),
+            classify(r#"{"id":3,"ok":false,"error":{"code":"deadline_exceeded","message":"x"}}"#),
             Bucket::ShedDeadline
         );
         assert_eq!(
-            classify(br#"{"id":4,"ok":false,"error":{"code":"bad_request"}}"#),
+            classify(r#"{"id":4,"ok":false,"error":{"code":"bad_request"}}"#),
             Bucket::Error
         );
-        assert_eq!(classify(b"not json at all"), Bucket::Error);
+        assert_eq!(classify("not json at all"), Bucket::Error);
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //!
 //! One event-loop thread multiplexes every client connection and every
 //! backend connection as nonblocking state machines with resumable
-//! [`LineReader`] framing — the same technique the serve core's poller
-//! and the loadgen driver use. Request lines are *forwarded verbatim*
+//! [`LineReader`] framing, waiting on the serve core's [`Reactor`] like
+//! its poller shards: a wake services only the sockets reported ready,
+//! and the prober and [`Router::request_shutdown`] ring its waker.
+//! Request lines are *forwarded verbatim*
 //! (replies too), so the fleet preserves the serve core's bit-identity
 //! guarantee: the router adds routing, never re-serialization. Each
 //! request is classified by the replicas' own decoder,
@@ -40,13 +42,14 @@
 //! peer ([`crate::sync::reconcile`]).
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
 use hmdiv_serve::json::{self, Json};
 use hmdiv_serve::protocol::{self, err_line, LineEvent, LineReader};
+use hmdiv_serve::reactor::{write_buffered, Interest, Reactor, Token, Waker};
 use hmdiv_serve::shutdown::ShutdownSignal;
 use hmdiv_serve::{Client, ServeError};
 
@@ -126,6 +129,8 @@ struct BroadcastSlot {
 /// One client connection's state machine.
 struct ClientConn {
     stream: TcpStream,
+    /// The interest last given to the reactor.
+    registered: Interest,
     reader: LineReader,
     out: Vec<u8>,
     cursor: usize,
@@ -141,12 +146,15 @@ struct ClientConn {
 /// One backend connection's state machine.
 struct BackendConn {
     stream: TcpStream,
+    /// The interest last given to the reactor.
+    registered: Interest,
     reader: LineReader,
     out: Vec<u8>,
     cursor: usize,
-    /// Tokens for requests written to this backend, in reply order (the
-    /// serve core answers each connection strictly in request order).
-    inflight: VecDeque<u64>,
+    /// Tokens for requests written to this backend, each with the client
+    /// slot it answers, in reply order (the serve core answers each
+    /// connection strictly in request order).
+    inflight: VecDeque<(u64, usize)>,
 }
 
 /// The running router.
@@ -175,7 +183,11 @@ impl Router {
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        let mut reactor = Reactor::new()?;
+        reactor.register(&listener, LISTENER, Interest::READ)?;
+        let waker = reactor.waker();
         let signal = Arc::new(ShutdownSignal::new());
+        signal.wake_on_request(waker.clone());
         let fleet = Arc::new(FleetState::new(
             &config.backends,
             HealthPolicy {
@@ -190,7 +202,7 @@ impl Router {
             let config = config.clone();
             std::thread::Builder::new()
                 .name("fleet-router".to_owned())
-                .spawn(move || EventLoop::new(listener, config, ring, fleet, signal).run())
+                .spawn(move || EventLoop::new(listener, reactor, config, ring, fleet, signal).run())
                 .map_err(|e| ServeError::Io {
                     detail: format!("spawning router event loop: {e}"),
                 })?
@@ -201,7 +213,7 @@ impl Router {
             let config = config.clone();
             std::thread::Builder::new()
                 .name("fleet-prober".to_owned())
-                .spawn(move || probe_loop(&config, &fleet, &signal))
+                .spawn(move || probe_loop(&config, &fleet, &signal, &waker))
                 .map_err(|e| ServeError::Io {
                     detail: format!("spawning router prober: {e}"),
                 })?
@@ -271,21 +283,42 @@ fn unavailable_line(id: &Json, backend: SocketAddr) -> String {
     )
 }
 
+/// The listener's readiness token. Backend `b` waits under `1 + b` and
+/// client slot `c` under `1 + backends + c`.
+const LISTENER: Token = 0;
+
+/// How long the listener leaves the wait set after a failed accept (e.g.
+/// out of file descriptors): the connection stays queued and the
+/// listener readable, so waiting on it would spin.
+const ACCEPT_RETRY: Duration = Duration::from_millis(20);
+
 /// The router's single-threaded event loop.
 struct EventLoop {
     listener: TcpListener,
+    /// The listener's interest: read, except after a failed accept and
+    /// once the drain starts.
+    listening: Interest,
+    reactor: Reactor,
+    waker: Waker,
     config: RouterConfig,
     ring: HashRing,
     fleet: Arc<FleetState>,
     signal: Arc<ShutdownSignal>,
     clients: Vec<Option<ClientConn>>,
+    /// Empty client slots, reused before the table grows.
+    free_clients: Vec<usize>,
     backends: Vec<Option<BackendConn>>,
     next_token: u64,
+    /// Connections touched during this wake whose writes, replies and
+    /// interest are settled before the next wait.
+    dirty_clients: Vec<usize>,
+    dirty_backends: Vec<usize>,
 }
 
 impl EventLoop {
     fn new(
         listener: TcpListener,
+        reactor: Reactor,
         config: RouterConfig,
         ring: HashRing,
         fleet: Arc<FleetState>,
@@ -294,50 +327,95 @@ impl EventLoop {
         let backend_count = config.backends.len();
         EventLoop {
             listener,
+            listening: Interest::READ,
+            waker: reactor.waker(),
+            reactor,
             config,
             ring,
             fleet,
             signal,
             clients: Vec::new(),
+            free_clients: Vec::new(),
             backends: (0..backend_count).map(|_| None).collect(),
             next_token: 1,
+            dirty_clients: Vec::new(),
+            dirty_backends: Vec::new(),
         }
+    }
+
+    fn client_token(&self, c: usize) -> Token {
+        1 + self.backends.len() + c
     }
 
     fn run(mut self) {
-        let mut idle_backoff = Duration::from_micros(100);
+        let mut ready = Vec::new();
+        let mut draining = false;
+        // Only a broken wait set fails the wait; the loop stops rather
+        // than spin. A listener paused after a failed accept rejoins the
+        // wait set on the next wake, at most `ACCEPT_RETRY` later.
         loop {
-            let draining = self.signal.is_requested();
-            let mut progressed = false;
-            if !draining {
-                progressed |= self.accept_new();
-            }
-            self.enforce_ejections();
-            progressed |= self.sweep_backends();
-            progressed |= self.sweep_clients();
-            self.reap_clients(draining);
-            if draining && self.clients.iter().all(Option::is_none) {
+            let paused = !draining && self.listening == Interest::NONE;
+            let Ok(woken) = self
+                .reactor
+                .wait(&mut ready, paused.then_some(ACCEPT_RETRY))
+            else {
                 break;
+            };
+            hmdiv_obs::counter_add("fleet.router.wakeups", 1);
+            if paused {
+                drop(self.listen(Interest::READ));
             }
-            if progressed {
-                idle_backoff = Duration::from_micros(100);
-            } else {
-                std::thread::sleep(idle_backoff);
-                idle_backoff = (idle_backoff * 2).min(Duration::from_millis(2));
+            if woken {
+                // A backend was ejected or re-admitted, or shutdown was
+                // requested.
+                self.enforce_ejections();
+                if !draining && self.signal.is_requested() {
+                    draining = true;
+                    self.start_drain();
+                }
+            }
+            let backend_count = self.backends.len();
+            for &token in &ready {
+                match token {
+                    LISTENER => {
+                        if !draining && !self.accept_new() {
+                            drop(self.listen(Interest::NONE));
+                        }
+                    }
+                    t if t <= backend_count => self.read_backend(t - 1),
+                    t => self.read_client(t - 1 - backend_count),
+                }
+            }
+            self.settle(draining);
+            if draining && self.clients.len() == self.free_clients.len() {
+                break;
             }
         }
     }
 
-    /// Accepts every waiting connection; returns whether any arrived.
+    /// Stops accepting and re-examines every client once: idle ones
+    /// close now, the rest once they owe nothing. Without this, a client
+    /// that simply stays connected would stall the drain forever.
+    fn start_drain(&mut self) {
+        drop(self.listen(Interest::NONE));
+        self.dirty_clients
+            .extend((0..self.clients.len()).filter(|&c| self.clients[c].is_some()));
+    }
+
+    fn listen(&mut self, want: Interest) -> std::io::Result<()> {
+        self.reactor
+            .set_interest(&self.listener, LISTENER, &mut self.listening, want)
+    }
+
+    /// Accepts every waiting connection; `false` when an accept failed
+    /// with the connection still queued.
     fn accept_new(&mut self) -> bool {
-        let mut any = false;
         loop {
             match self.listener.accept() {
                 Ok((stream, peer)) => {
                     if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
                         continue;
                     }
-                    any = true;
                     // Hash the peer address (ip + port) onto the ring so
                     // distinct connections spread across backends while
                     // one connection stays put.
@@ -349,8 +427,9 @@ impl EventLoop {
                         }
                     };
                     key = mix64(key ^ (u64::from(peer.port()) << 48));
-                    let conn = ClientConn {
+                    let mut conn = ClientConn {
                         stream,
+                        registered: Interest::NONE,
                         reader: LineReader::new(self.config.max_line_bytes),
                         out: Vec::new(),
                         cursor: 0,
@@ -359,18 +438,27 @@ impl EventLoop {
                         half_closed: false,
                         dead: false,
                     };
-                    if let Some(slot) = self.clients.iter_mut().find(|s| s.is_none()) {
-                        *slot = Some(conn);
-                    } else {
+                    let c = self.free_clients.pop().unwrap_or(self.clients.len());
+                    let token = self.client_token(c);
+                    if self
+                        .reactor
+                        .set_interest(&conn.stream, token, &mut conn.registered, Interest::READ)
+                        .is_err()
+                    {
+                        self.free_clients.push(c);
+                        continue;
+                    }
+                    if c == self.clients.len() {
                         self.clients.push(Some(conn));
+                    } else {
+                        self.clients[c] = Some(conn);
                     }
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => break,
+                Err(_) => return false,
             }
         }
-        any
     }
 
     /// Tears down connections to backends the prober has ejected, so
@@ -386,191 +474,212 @@ impl EventLoop {
     /// Kills backend `b`'s connection and answers everything in flight
     /// on it with `backend_unavailable`.
     fn fail_backend(&mut self, b: usize) {
-        let Some(conn) = self.backends[b].take() else {
+        let Some(mut conn) = self.backends[b].take() else {
             return;
         };
+        drop(
+            self.reactor
+                .set_interest(&conn.stream, 1 + b, &mut conn.registered, Interest::NONE),
+        );
         let addr = self.fleet.addr(b);
-        for token in conn.inflight {
-            self.resolve_token(token, None, addr);
+        for (token, c) in conn.inflight {
+            self.resolve_token(token, c, None, addr);
         }
     }
 
-    /// Fills the pending slot waiting on `token`. `reply` is the
+    /// Fills client `c`'s pending slot waiting on `token`. `reply` is the
     /// forwarded backend line (newline included), or `None` to
     /// synthesize a `backend_unavailable` error from `addr`.
-    fn resolve_token(&mut self, token: u64, reply: Option<String>, addr: SocketAddr) {
-        for client in self.clients.iter_mut().flatten() {
-            for pending in &mut client.pending {
-                match pending {
-                    Pending::Await { token: t, id } if *t == token => {
-                        let line = reply.unwrap_or_else(|| unavailable_line(id, addr));
-                        *pending = Pending::Done(line);
+    fn resolve_token(&mut self, token: u64, c: usize, reply: Option<String>, addr: SocketAddr) {
+        // A missing slot, or one a newer connection now holds, means the
+        // client hung up before its reply arrived.
+        let Some(client) = self.clients[c].as_mut() else {
+            return;
+        };
+        for pending in &mut client.pending {
+            match pending {
+                Pending::Await { token: t, id } if *t == token => {
+                    let line = reply.unwrap_or_else(|| unavailable_line(id, addr));
+                    *pending = Pending::Done(line);
+                    self.dirty_clients.push(c);
+                    return;
+                }
+                Pending::Broadcast { id, slots } => {
+                    if let Some(slot) = slots
+                        .iter_mut()
+                        .find(|s| s.token == token && s.reply.is_none())
+                    {
+                        slot.reply = Some(reply.unwrap_or_else(|| unavailable_line(id, addr)));
+                        self.dirty_clients.push(c);
                         return;
                     }
-                    Pending::Broadcast { id, slots } => {
-                        if let Some(slot) = slots
-                            .iter_mut()
-                            .find(|s| s.token == token && s.reply.is_none())
-                        {
-                            slot.reply = Some(reply.unwrap_or_else(|| unavailable_line(id, addr)));
-                            return;
-                        }
-                    }
-                    _ => {}
                 }
+                Pending::Done(_) | Pending::Await { .. } => {}
             }
         }
-        // No owner: the client hung up before its reply arrived.
     }
 
-    /// Sweeps every backend connection: flush writes, read replies,
-    /// detect death. Returns whether any byte moved.
-    fn sweep_backends(&mut self) -> bool {
-        let mut progressed = false;
-        for b in 0..self.backends.len() {
-            let mut failed = false;
-            let mut resolved: Vec<(u64, String)> = Vec::new();
-            if let Some(conn) = self.backends[b].as_mut() {
-                let (wrote, dead) = write_out(&mut conn.stream, &mut conn.out, &mut conn.cursor);
-                progressed |= wrote;
-                failed = dead;
-                // Reads.
-                if !failed {
-                    let mut chunk = [0_u8; 64 * 1024];
-                    loop {
-                        match conn.stream.read(&mut chunk) {
-                            Ok(0) => {
-                                failed = true;
-                                break;
-                            }
-                            Ok(n) => {
-                                progressed = true;
-                                conn.reader.push(&chunk[..n]);
-                                while let Some(event) = conn.reader.next_event() {
-                                    let Some(token) = conn.inflight.pop_front() else {
-                                        // A reply with nothing in
-                                        // flight: protocol breach, drop
-                                        // the connection.
-                                        failed = true;
-                                        break;
-                                    };
-                                    match event {
-                                        LineEvent::Line(mut line) => {
-                                            line.push('\n');
-                                            resolved.push((token, line));
-                                        }
-                                        // An oversized or non-UTF-8
-                                        // reply cannot be forwarded;
-                                        // the requests it answered are
-                                        // lost with the connection.
-                                        LineEvent::TooLong { .. } | LineEvent::InvalidUtf8 => {
-                                            failed = true;
-                                            break;
-                                        }
-                                    }
-                                }
-                                if failed {
-                                    break;
-                                }
-                            }
-                            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                            Err(_) => {
-                                failed = true;
-                                break;
-                            }
-                        }
-                    }
+    /// Reads backend `b`'s replies and resolves the requests they
+    /// answer; a closed or broken connection fails over.
+    fn read_backend(&mut self, b: usize) {
+        let Some(conn) = self.backends[b].as_mut() else {
+            return;
+        };
+        // A report may also mean room to write.
+        self.dirty_backends.push(b);
+        let mut chunk = [0_u8; 64 * 1024];
+        // End of stream is a failure too: replies may still be owed.
+        let mut failed = !matches!(
+            conn.reader
+                .read_from(&mut conn.stream, &mut chunk, usize::MAX),
+            Ok((_, false))
+        );
+        let mut resolved: Vec<(u64, usize, String)> = Vec::new();
+        while let Some(event) = conn.reader.next_event() {
+            let Some((token, c)) = conn.inflight.pop_front() else {
+                // A reply with nothing in flight: protocol breach, drop
+                // the connection.
+                failed = true;
+                break;
+            };
+            match event {
+                LineEvent::Line(mut line) => {
+                    line.push('\n');
+                    resolved.push((token, c, line));
+                }
+                // An oversized or non-UTF-8 reply cannot be forwarded;
+                // the requests it answered are lost with the connection.
+                LineEvent::TooLong { .. } | LineEvent::InvalidUtf8 => {
+                    failed = true;
+                    break;
                 }
             }
-            let addr = self.fleet.addr(b);
-            for (token, line) in resolved {
-                self.resolve_token(token, Some(line), addr);
-            }
-            if failed {
-                progressed = true;
-                self.fail_backend(b);
-                // A dead connection counts toward ejection; the prober
-                // owns re-admission.
-                self.fleet.record_failure(b);
-            }
         }
-        progressed
+        let addr = self.fleet.addr(b);
+        for (token, c, line) in resolved {
+            self.resolve_token(token, c, Some(line), addr);
+        }
+        if failed {
+            self.fail_backend(b);
+            // A dead connection counts toward ejection; the prober owns
+            // re-admission.
+            self.fleet.record_failure(b);
+        }
     }
 
-    /// Sweeps every client connection: read and route new requests,
-    /// flush ready replies. Returns whether any byte moved.
-    fn sweep_clients(&mut self) -> bool {
-        let mut progressed = false;
-        for c in 0..self.clients.len() {
-            let mut lines: Vec<Result<String, ServeError>> = Vec::new();
-            let mut half_closed = false;
-            let mut dead = false;
-            if let Some(conn) = self.clients[c].as_mut() {
-                if conn.dead {
-                    continue;
-                }
-                if !conn.half_closed {
-                    let mut chunk = [0_u8; 64 * 1024];
-                    loop {
-                        match conn.stream.read(&mut chunk) {
-                            Ok(0) => {
-                                half_closed = true;
-                                break;
-                            }
-                            Ok(n) => {
-                                progressed = true;
-                                conn.reader.push(&chunk[..n]);
-                                while let Some(event) = conn.reader.next_event() {
-                                    match event {
-                                        LineEvent::Line(line) => lines.push(Ok(line)),
-                                        LineEvent::TooLong { limit } => {
-                                            lines.push(Err(ServeError::LineTooLong { limit }));
-                                        }
-                                        LineEvent::InvalidUtf8 => {
-                                            lines.push(Err(ServeError::Parse {
-                                                detail: "request line is not valid UTF-8"
-                                                    .to_owned(),
-                                            }));
-                                        }
-                                    }
-                                }
-                            }
-                            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                            Err(_) => {
-                                dead = true;
-                                break;
-                            }
-                        }
+    /// Reads client `c`'s requests and routes each one.
+    fn read_client(&mut self, c: usize) {
+        let Some(conn) = self.clients[c].as_mut() else {
+            return;
+        };
+        self.dirty_clients.push(c);
+        if conn.dead || conn.half_closed {
+            return;
+        }
+        let mut chunk = [0_u8; 64 * 1024];
+        match conn
+            .reader
+            .read_from(&mut conn.stream, &mut chunk, usize::MAX)
+        {
+            Ok((_, eof)) => conn.half_closed = eof,
+            Err(_) => conn.dead = true,
+        }
+        let mut lines: Vec<Result<String, ServeError>> = Vec::new();
+        while let Some(event) = conn.reader.next_event() {
+            lines.push(match event {
+                LineEvent::Line(line) => Ok(line),
+                LineEvent::TooLong { limit } => Err(ServeError::LineTooLong { limit }),
+                LineEvent::InvalidUtf8 => Err(ServeError::Parse {
+                    detail: "request line is not valid UTF-8".to_owned(),
+                }),
+            });
+        }
+        for line in lines {
+            match line {
+                Ok(line) => self.route_request(c, &line),
+                Err(e) => {
+                    if let Some(conn) = self.clients[c].as_mut() {
+                        conn.pending
+                            .push_back(Pending::Done(err_line(&Json::Null, None, &e)));
                     }
                 }
-            } else {
-                continue;
-            }
-            for line in lines {
-                progressed = true;
-                match line {
-                    Ok(line) => self.route_request(c, &line),
-                    Err(e) => {
-                        if let Some(conn) = self.clients[c].as_mut() {
-                            conn.pending
-                                .push_back(Pending::Done(err_line(&Json::Null, None, &e)));
-                        }
-                    }
-                }
-            }
-            if let Some(conn) = self.clients[c].as_mut() {
-                if dead {
-                    conn.dead = true;
-                }
-                if half_closed {
-                    conn.half_closed = true;
-                }
-                progressed |= flush_client(conn, &self.fleet);
             }
         }
-        progressed
+    }
+
+    /// Settles every connection touched during this wake: backends
+    /// flush the requests routed to them, clients flush their resolved
+    /// replies, and each one's interest is brought up to date.
+    fn settle(&mut self, draining: bool) {
+        let mut backends = std::mem::take(&mut self.dirty_backends);
+        backends.sort_unstable();
+        backends.dedup();
+        for &b in &backends {
+            self.flush_backend(b);
+        }
+        backends.clear();
+        self.dirty_backends = backends;
+        // Backend failures above may have resolved more client slots.
+        let mut clients = std::mem::take(&mut self.dirty_clients);
+        clients.sort_unstable();
+        clients.dedup();
+        for &c in &clients {
+            self.finish_client(c, draining);
+        }
+        clients.clear();
+        self.dirty_clients = clients;
+    }
+
+    /// Writes backend `b`'s queued requests, waiting for room when the
+    /// socket is full; a broken connection fails over.
+    fn flush_backend(&mut self, b: usize) {
+        let Some(conn) = self.backends[b].as_mut() else {
+            return;
+        };
+        let dead = write_buffered(&mut conn.stream, &mut conn.out, &mut conn.cursor).is_err();
+        let want = Interest {
+            read: true,
+            write: !conn.out.is_empty(),
+        };
+        if dead
+            || self
+                .reactor
+                .set_interest(&conn.stream, 1 + b, &mut conn.registered, want)
+                .is_err()
+        {
+            self.fail_backend(b);
+            self.fleet.record_failure(b);
+        }
+    }
+
+    /// Flushes client `c`'s resolved replies and closes it once it is
+    /// dead, or half-closed (or draining) with nothing left owed.
+    fn finish_client(&mut self, c: usize, draining: bool) {
+        let token = self.client_token(c);
+        let Some(conn) = self.clients[c].as_mut() else {
+            return;
+        };
+        if !conn.dead {
+            flush_client(conn, &self.fleet, &self.waker);
+        }
+        let close = conn.dead
+            || ((conn.half_closed || draining) && conn.pending.is_empty() && conn.out.is_empty());
+        let want = if close {
+            Interest::NONE
+        } else {
+            Interest {
+                read: !conn.half_closed,
+                write: !conn.out.is_empty(),
+            }
+        };
+        let broken = self
+            .reactor
+            .set_interest(&conn.stream, token, &mut conn.registered, want)
+            .is_err();
+        if close || broken {
+            self.clients[c] = None;
+            self.free_clients.push(c);
+        }
     }
 
     /// Routes one complete request line from client `c`.
@@ -622,7 +731,7 @@ impl EventLoop {
                 return;
             };
             let b = b as usize;
-            if let Some(token) = self.send_to_backend(b, line) {
+            if let Some(token) = self.send_to_backend(b, line, c) {
                 if let Some(conn) = self.clients[c].as_mut() {
                     conn.pending.push_back(Pending::Await { token, id });
                 }
@@ -648,7 +757,7 @@ impl EventLoop {
         let healthy = self.fleet.healthy_indices();
         let mut slots = Vec::new();
         for b in healthy {
-            if let Some(token) = self.send_to_backend(b, line) {
+            if let Some(token) = self.send_to_backend(b, line, c) {
                 slots.push(BroadcastSlot {
                     backend: b,
                     token,
@@ -669,29 +778,35 @@ impl EventLoop {
         }
     }
 
-    /// Queues `line` on backend `b`'s connection (opening it lazily),
-    /// returning the in-flight token, or `None` when the backend is
-    /// unreachable.
-    fn send_to_backend(&mut self, b: usize, line: &str) -> Option<u64> {
+    /// Queues `line` from client `c` on backend `b`'s connection
+    /// (opening it lazily), returning the in-flight token, or `None` when
+    /// the backend is unreachable.
+    fn send_to_backend(&mut self, b: usize, line: &str, c: usize) -> Option<u64> {
         if self.backends[b].is_none() {
             let addr = self.fleet.addr(b);
             let stream = TcpStream::connect_timeout(&addr, self.config.connect_timeout).ok()?;
             stream.set_nodelay(true).ok()?;
             stream.set_nonblocking(true).ok()?;
-            self.backends[b] = Some(BackendConn {
+            let mut conn = BackendConn {
                 stream,
+                registered: Interest::NONE,
                 reader: LineReader::new(self.config.max_line_bytes),
                 out: Vec::new(),
                 cursor: 0,
                 inflight: VecDeque::new(),
-            });
+            };
+            self.reactor
+                .set_interest(&conn.stream, 1 + b, &mut conn.registered, Interest::READ)
+                .ok()?;
+            self.backends[b] = Some(conn);
         }
         let conn = self.backends[b].as_mut()?;
         let token = self.next_token;
         self.next_token += 1;
         conn.out.extend_from_slice(line.as_bytes());
         conn.out.push(b'\n');
-        conn.inflight.push_back(token);
+        conn.inflight.push_back((token, c));
+        self.dirty_backends.push(b);
         Some(token)
     }
 
@@ -734,37 +849,16 @@ impl EventLoop {
         ]);
         protocol::ok_line(id, None, result)
     }
-
-    /// Drops finished/dead client connections. While draining, an idle
-    /// connection (every owed reply flushed) is closed rather than held
-    /// open — otherwise a client that simply stays connected would stall
-    /// the drain forever.
-    fn reap_clients(&mut self, draining: bool) {
-        for slot in &mut self.clients {
-            let close = match slot {
-                Some(conn) => {
-                    conn.dead
-                        || ((conn.half_closed || draining)
-                            && conn.pending.is_empty()
-                            && conn.out.is_empty())
-                }
-                None => false,
-            };
-            if close {
-                *slot = None;
-            }
-        }
-    }
 }
 
 /// Flushes resolved head-of-queue replies into the socket, preserving
-/// request order per connection. Returns whether any byte moved.
-fn flush_client(conn: &mut ClientConn, fleet: &FleetState) -> bool {
+/// request order per connection.
+fn flush_client(conn: &mut ClientConn, fleet: &FleetState, waker: &Waker) {
     // Resolve fully-answered broadcasts at the head.
     loop {
         match conn.pending.front_mut() {
             Some(Pending::Broadcast { slots, .. }) if slots.iter().all(|s| s.reply.is_some()) => {
-                let line = settle_broadcast(slots, fleet);
+                let line = settle_broadcast(slots, fleet, waker);
                 *conn.pending.front_mut().expect("front exists") = Pending::Done(line);
             }
             _ => {}
@@ -779,40 +873,7 @@ fn flush_client(conn: &mut ClientConn, fleet: &FleetState) -> bool {
             _ => break,
         }
     }
-    let (progressed, dead) = write_out(&mut conn.stream, &mut conn.out, &mut conn.cursor);
-    conn.dead |= dead;
-    progressed
-}
-
-/// Writes as much of `out[*cursor..]` as the nonblocking socket takes,
-/// clearing the buffer once it is fully flushed. Returns whether any
-/// byte moved and whether the connection died.
-fn write_out(stream: &mut TcpStream, out: &mut Vec<u8>, cursor: &mut usize) -> (bool, bool) {
-    let mut progressed = false;
-    let mut dead = false;
-    while *cursor < out.len() {
-        match stream.write(&out[*cursor..]) {
-            Ok(0) => {
-                dead = true;
-                break;
-            }
-            Ok(n) => {
-                *cursor += n;
-                progressed = true;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => {
-                dead = true;
-                break;
-            }
-        }
-    }
-    if *cursor == out.len() && !out.is_empty() {
-        out.clear();
-        *cursor = 0;
-    }
-    (progressed, dead)
+    conn.dead |= write_buffered(&mut conn.stream, &mut conn.out, &mut conn.cursor).is_err();
 }
 
 /// Whether a reply line is a success envelope (`"ok": true`).
@@ -826,8 +887,9 @@ fn is_ok_reply(line: &str) -> bool {
 /// The broadcast reply the client sees: the lowest-indexed backend's
 /// success, or (when every leg failed) the lowest-indexed reply. When
 /// some legs succeeded, each failed leg's backend missed a write its
-/// peers applied, so it is ejected until a registry sync re-admits it.
-fn settle_broadcast(slots: &[BroadcastSlot], fleet: &FleetState) -> String {
+/// peers applied, so it is ejected until a registry sync re-admits it;
+/// `waker` then rings the event loop to tear its connection down.
+fn settle_broadcast(slots: &[BroadcastSlot], fleet: &FleetState, waker: &Waker) -> String {
     let ok: Vec<bool> = slots
         .iter()
         .map(|s| s.reply.as_deref().is_some_and(is_ok_reply))
@@ -839,20 +901,25 @@ fn settle_broadcast(slots: &[BroadcastSlot], fleet: &FleetState) -> String {
             .unwrap_or_default();
     };
     for (slot, _) in slots.iter().zip(&ok).filter(|(_, ok)| !**ok) {
-        fleet.eject(slot.backend);
+        if fleet.eject(slot.backend) {
+            waker.wake();
+        }
     }
     slots[winner].reply.clone().unwrap_or_default()
 }
 
 /// The health prober: pings every backend each interval, ejects after
 /// consecutive failures, re-admits after recovery probes plus a
-/// registry sync from a healthy peer.
-fn probe_loop(config: &RouterConfig, fleet: &FleetState, signal: &ShutdownSignal) {
+/// registry sync from a healthy peer. Each change of health rings the
+/// event loop's `waker`.
+fn probe_loop(config: &RouterConfig, fleet: &FleetState, signal: &ShutdownSignal, waker: &Waker) {
     while !signal.wait_timeout(config.probe_interval) {
         for b in 0..fleet.len() {
             let addr = fleet.addr(b);
             if !probe_once(addr, config.probe_timeout) {
-                fleet.record_probe_failure(b);
+                if fleet.record_probe_failure(b) {
+                    waker.wake();
+                }
                 continue;
             }
             if fleet.record_success(b) == ProbeVerdict::ReadyToReadmit {
@@ -860,7 +927,10 @@ fn probe_loop(config: &RouterConfig, fleet: &FleetState, signal: &ShutdownSignal
                 // answers; now converge its registry from the
                 // lowest-indexed healthy peer before routing to it.
                 match sync_from_peer(fleet, b) {
-                    Ok(()) => fleet.readmit(b),
+                    Ok(()) => {
+                        fleet.readmit(b);
+                        waker.wake();
+                    }
                     Err(_) => fleet.recovery_setback(b),
                 }
             }

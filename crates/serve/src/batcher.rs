@@ -428,7 +428,7 @@ const DEFAULT_PAR_THRESHOLD: usize = 1024;
 
 /// The effective parallelism threshold: the `HMDIV_SERVE_PAR_THRESHOLD`
 /// environment override when it parses as a positive integer, else
-/// [`DEFAULT_PAR_THRESHOLD`]. Read once per process; the `metrics` verb
+/// `DEFAULT_PAR_THRESHOLD`. Read once per process; the `metrics` verb
 /// reports the effective value.
 #[must_use]
 pub fn par_threshold() -> usize {

@@ -81,9 +81,9 @@ pub mod batcher;
 pub mod client;
 pub mod error;
 pub mod json;
-pub mod loadgen;
 mod poller;
 pub mod protocol;
+pub mod reactor;
 pub mod registry;
 pub mod server;
 pub mod shutdown;
@@ -92,7 +92,6 @@ pub use batcher::{Batcher, Outcome, Ticket, Waker, Work};
 pub use client::{Client, RetryPolicy, TracedResponse};
 pub use error::ServeError;
 pub use json::Json;
-pub use loadgen::{LoadgenConfig, LoadgenReport, TargetSplit};
 pub use registry::{Artifact, ArtifactRow, LoadReceipt, Registry};
 pub use server::{Server, ServerConfig};
 pub use shutdown::ShutdownSignal;

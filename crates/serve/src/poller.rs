@@ -3,16 +3,19 @@
 //!
 //! Accepted sockets are registered round-robin onto poller **shards**.
 //! Each shard owns its connections outright — no cross-thread connection
-//! state — and drives a per-connection state machine through four moves
-//! per sweep:
+//! state — and waits on its own [`Reactor`]. A wake services only the
+//! connections reported ready: by the reactor (bytes to read, room to
+//! write) or by the executor, whose per-connection [`Waker`] marks the
+//! connection's token in the shard's inbox and rings the reactor when a
+//! reply lands. Servicing one connection drives its state machine
+//! through four moves:
 //!
 //! 1. **read**: drain readable bytes into the resumable
 //!    [`LineReader`](crate::protocol::LineReader) (budgeted, and skipped
 //!    while the write buffer is over the high-watermark — backpressure
 //!    propagates to the client's TCP window instead of server memory);
 //! 2. **route**: frame complete lines and route each into a
-//!    [`RequestSlot`] (queued work carries a [`Waker`] that rings this
-//!    shard's bell when the executor replies);
+//!    [`RequestSlot`] (queued work carries the connection's [`Waker`]);
 //! 3. **pump**: resolve the contiguous head of the in-order slot queue —
 //!    inline answers immediately, queued answers via
 //!    [`Ticket::try_take`](crate::batcher::Ticket::try_take) — and
@@ -20,71 +23,82 @@
 //! 4. **write**: push buffered bytes until the socket would block,
 //!    completing trace records as their byte ranges reach the kernel.
 //!
+//! Afterwards the connection's interest is recomputed: read while it
+//! accepts more input, write only while buffered bytes are blocked. An
+//! idle shard therefore sleeps in the kernel, and an idle connection
+//! costs nothing per wake.
+//!
 //! Responses stay in request order per connection (the slot queue is the
 //! order book), so pipelined clients observe exactly the semantics of the
 //! old thread-per-connection server — replies are bit-identical.
-//!
-//! With no readiness syscall available (std-only), idle shards sleep on a
-//! condvar with exponential backoff (100µs → 2ms): wakers and the accept
-//! loop ring the bell for instant wakeups on executor replies and new
-//! connections, while fresh request bytes are discovered within one
-//! backoff step. A shard that owns exactly one quiescent connection drops
-//! into a short blocking read instead — the common single-client case
-//! keeps its thread-per-connection latency.
 
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::batcher::Waker;
 use crate::error::ServeError;
 use crate::protocol::{LineEvent, LineReader};
+use crate::reactor::{self, Interest, Reactor, Token};
 use crate::server::{self, Ctx, PendingTrace, RequestSlot};
 
-/// Read budget per connection per sweep, so one firehose client cannot
-/// starve its shard-mates.
+/// Read budget per connection per wake, so one firehose client cannot
+/// starve its shard-mates (level-triggered readiness reports the rest on
+/// the next wait).
 const READ_BUDGET: usize = 256 * 1024;
 /// Per-read chunk size.
 const CHUNK: usize = 16 * 1024;
 /// Buffered-response bytes above which a connection stops being read —
 /// the slow-consumer backpressure threshold.
 const WRITE_HIGH_WATERMARK: usize = 1 << 20;
-/// Idle backoff bounds for the shard sleep.
-const BACKOFF_MIN: Duration = Duration::from_micros(100);
-const BACKOFF_MAX: Duration = Duration::from_millis(2);
-/// Blocking-read timeout for the single-quiescent-connection fast path.
-const SOLO_READ_TIMEOUT: Duration = Duration::from_millis(5);
 
-/// New-connection handoff plus the shard's wakeup bell.
+/// What other threads hand a shard: accepted sockets and the tokens of
+/// connections whose executor replies have landed.
+#[derive(Default)]
 struct Inbox {
     conns: Vec<TcpStream>,
-    /// Set by [`Shard::wake`]; cleared when the shard adopts the inbox.
-    /// Checked before sleeping so a wake that lands mid-sweep is never
-    /// lost.
-    notified: bool,
+    ready: Vec<Token>,
 }
 
 /// One poller shard's shared half: the accept loop and executor wakers
 /// talk to the shard thread exclusively through this.
 struct Shard {
     inbox: Mutex<Inbox>,
-    bell: Condvar,
+    waker: reactor::Waker,
 }
 
 impl Shard {
+    fn new(waker: reactor::Waker) -> Shard {
+        Shard {
+            inbox: Mutex::new(Inbox::default()),
+            waker,
+        }
+    }
+
     fn lock(&self) -> std::sync::MutexGuard<'_, Inbox> {
         self.inbox
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn wake(&self) {
-        self.lock().notified = true;
-        self.bell.notify_all();
+    /// Hands over an accepted socket.
+    fn adopt(&self, stream: TcpStream) {
+        self.lock().conns.push(stream);
+        self.waker.wake();
+    }
+
+    /// Marks connection `token` for service (an executor reply landed).
+    fn mark_ready(&self, token: Token) {
+        self.lock().ready.push(token);
+        self.waker.wake();
+    }
+
+    /// Takes everything handed over since the last call.
+    fn take(&self) -> Inbox {
+        std::mem::take(&mut *self.lock())
     }
 }
 
@@ -110,19 +124,14 @@ impl PollerPool {
         let mut shards = Vec::with_capacity(threads);
         let mut handles = Vec::with_capacity(threads);
         for i in 0..threads {
-            let shard = Arc::new(Shard {
-                inbox: Mutex::new(Inbox {
-                    conns: Vec::new(),
-                    notified: false,
-                }),
-                bell: Condvar::new(),
-            });
+            let reactor = Reactor::new()?;
+            let shard = Arc::new(Shard::new(reactor.waker()));
             let thread_shard = Arc::clone(&shard);
             let thread_ctx = Arc::clone(ctx);
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("hmdiv-serve-poll-{i}"))
-                    .spawn(move || run_shard(&thread_shard, &thread_ctx))?,
+                    .spawn(move || run_shard(&thread_shard, reactor, &thread_ctx))?,
             );
             shards.push(shard);
         }
@@ -135,9 +144,7 @@ impl PollerPool {
 
     /// Hands an accepted socket to the next shard, round-robin.
     pub(crate) fn register(&self, stream: TcpStream) {
-        let shard = &self.shards[self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len()];
-        shard.lock().conns.push(stream);
-        shard.wake();
+        self.shards[self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len()].adopt(stream);
     }
 
     /// Rings every shard (the shutdown signal is already latched) and
@@ -145,7 +152,7 @@ impl PollerPool {
     /// before exiting.
     pub(crate) fn stop_and_join(self) {
         for shard in &self.shards {
-            shard.wake();
+            shard.waker.wake();
         }
         for handle in self.handles {
             drop(handle.join());
@@ -153,73 +160,87 @@ impl PollerPool {
     }
 }
 
-fn run_shard(shard: &Arc<Shard>, ctx: &Arc<Ctx>) {
-    let mut conns: Vec<Conn> = Vec::new();
-    let waker: Waker = {
-        let shard = Arc::clone(shard);
-        Arc::new(move || shard.wake())
-    };
-    let mut backoff = BACKOFF_MIN;
+fn run_shard(shard: &Arc<Shard>, mut reactor: Reactor, ctx: &Arc<Ctx>) {
+    // The connection table: a connection's token is its index, and
+    // closed slots are reused before the table grows.
+    let mut conns: Vec<Option<Conn>> = Vec::new();
+    let mut free: Vec<Token> = Vec::new();
+    let mut ready: Vec<Token> = Vec::new();
+    let mut chunk = vec![0_u8; CHUNK];
+    let mut shutdown = false;
+    let mut woken = true;
     loop {
         hmdiv_obs::counter_add("serve.poll.wakeups", 1);
-        let shutdown = ctx.signal.is_requested();
-        // Adopt newcomers and collect the bell state in one lock.
-        let (newcomers, notified) = {
-            let mut inbox = shard.lock();
-            let notified = inbox.notified;
-            inbox.notified = false;
-            (std::mem::take(&mut inbox.conns), notified)
-        };
-        let mut progress = notified;
-        for stream in newcomers {
-            match Conn::adopt(stream, ctx.max_line_bytes) {
-                Some(conn) => {
-                    conns.push(conn);
-                    server::connection_opened(ctx);
-                    progress = true;
+        if woken {
+            let inbox = shard.take();
+            ready.extend(inbox.ready);
+            for stream in inbox.conns {
+                let token = free.pop().unwrap_or(conns.len());
+                let waker: Waker = {
+                    let shard = Arc::clone(shard);
+                    Arc::new(move || shard.mark_ready(token))
+                };
+                match Conn::adopt(stream, ctx.max_line_bytes, waker) {
+                    Some(conn) => {
+                        if token == conns.len() {
+                            conns.push(Some(conn));
+                        } else {
+                            conns[token] = Some(conn);
+                        }
+                        server::connection_opened(ctx);
+                        // Service it now: its first request is often
+                        // already waiting.
+                        ready.push(token);
+                    }
+                    None => {
+                        free.push(token);
+                        hmdiv_obs::counter_add("serve.conn_setup_failures", 1);
+                    }
                 }
-                None => hmdiv_obs::counter_add("serve.conn_setup_failures", 1),
+            }
+            if !shutdown && ctx.signal.is_requested() {
+                // Every connection stops reading and closes once it owes
+                // nothing: service them all, once.
+                shutdown = true;
+                ready.extend((0..conns.len()).filter(|&t| conns[t].is_some()));
             }
         }
-        for conn in &mut conns {
-            progress |= conn.sweep(ctx, &waker, shutdown);
-        }
-        conns.retain(|conn| {
+        ready.sort_unstable();
+        ready.dedup();
+        for &token in &ready {
+            let Some(conn) = conns.get_mut(token).and_then(Option::as_mut) else {
+                continue; // closed since it was reported
+            };
+            conn.service(ctx, shutdown, &mut chunk);
+            let want = conn.interest(shutdown);
+            if reactor
+                .set_interest(&conn.stream, token, &mut conn.registered, want)
+                .is_err()
+            {
+                conn.dead = true;
+                conn.write_some(ctx);
+            }
             if conn.done(shutdown) {
+                drop(reactor.set_interest(
+                    &conn.stream,
+                    token,
+                    &mut conn.registered,
+                    Interest::NONE,
+                ));
+                conns[token] = None;
+                free.push(token);
                 server::connection_closed(ctx);
-                false
-            } else {
-                true
             }
-        });
-        if shutdown && conns.is_empty() && shard.lock().conns.is_empty() {
+        }
+        if shutdown && conns.len() == free.len() && shard.lock().conns.is_empty() {
             return;
         }
-        if progress {
-            backoff = BACKOFF_MIN;
-            continue;
-        }
-        // Fast path: a lone idle connection gets a real blocking read so
-        // a single-client request–response loop pays no poll latency.
-        if !shutdown && conns.len() == 1 && conns[0].quiescent() && shard.lock().conns.is_empty() {
-            if conns[0].blocking_read(SOLO_READ_TIMEOUT) {
-                backoff = BACKOFF_MIN;
-            }
-            continue;
-        }
-        // Idle: sleep on the bell unless a wake already landed.
-        {
-            let inbox = shard.lock();
-            if !inbox.notified && inbox.conns.is_empty() {
-                drop(
-                    shard
-                        .bell
-                        .wait_timeout(inbox, backoff)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner),
-                );
-            }
-        }
-        backoff = (backoff * 2).min(BACKOFF_MAX);
+        woken = match reactor.wait(&mut ready, None) {
+            Ok(woken) => woken,
+            // Only a broken wait set fails here; drop the connections
+            // rather than spin.
+            Err(_) => return,
+        };
     }
 }
 
@@ -279,8 +300,12 @@ impl OutBuf {
 /// One multiplexed connection's state machine.
 struct Conn {
     stream: TcpStream,
+    /// The interest last given to the shard's reactor.
+    registered: Interest,
+    /// Rings this connection's shard with its token when a queued reply
+    /// lands.
+    waker: Waker,
     reader: LineReader,
-    chunk: Vec<u8>,
     /// In-order request slots; responses resolve head-first so pipelined
     /// replies keep request order.
     slots: VecDeque<RequestSlot>,
@@ -295,14 +320,15 @@ struct Conn {
 impl Conn {
     /// Puts the socket into multiplexed mode; `None` if setup syscalls
     /// fail (the stream drops, resetting the connection).
-    fn adopt(stream: TcpStream, max_line_bytes: usize) -> Option<Conn> {
+    fn adopt(stream: TcpStream, max_line_bytes: usize, waker: Waker) -> Option<Conn> {
         // Nagle would defeat micro-batching's latency win on small lines.
         drop(stream.set_nodelay(true));
         stream.set_nonblocking(true).ok()?;
         Some(Conn {
             stream,
+            registered: Interest::NONE,
+            waker,
             reader: LineReader::new(max_line_bytes),
-            chunk: vec![0_u8; CHUNK],
             slots: VecDeque::new(),
             out: OutBuf::new(),
             read_start: None,
@@ -311,28 +337,29 @@ impl Conn {
         })
     }
 
-    /// One full state-machine pass; returns whether anything moved.
-    fn sweep(&mut self, ctx: &Ctx, waker: &Waker, shutdown: bool) -> bool {
-        let mut progress = false;
+    /// One state-machine pass: read (through the shard's `chunk`),
+    /// route, pump, write.
+    fn service(&mut self, ctx: &Ctx, shutdown: bool, chunk: &mut [u8]) {
         if !self.dead && !self.peer_closed && !shutdown && self.out.pending() < WRITE_HIGH_WATERMARK
         {
-            progress |= self.read_some();
+            self.read_some(chunk);
         }
-        progress |= self.route_new_lines(ctx, waker);
-        progress |= self.pump();
-        progress |= self.write_some(ctx);
-        progress
+        self.route_new_lines(ctx);
+        self.pump();
+        self.write_some(ctx);
     }
 
-    /// Nothing in flight, nothing buffered: safe to block on this
-    /// connection alone.
-    fn quiescent(&self) -> bool {
-        !self.dead
-            && !self.peer_closed
-            && self.slots.is_empty()
-            && self.out.pending() == 0
-            && self.out.marks.is_empty()
-            && self.reader.buffered() == 0
+    /// What to wait for next: more input while the connection accepts
+    /// it, room to write only while buffered bytes are blocked. A dead
+    /// connection waits on nothing (its executor replies still wake it).
+    fn interest(&self, shutdown: bool) -> Interest {
+        if self.dead {
+            return Interest::NONE;
+        }
+        Interest {
+            read: !self.peer_closed && !shutdown && self.out.pending() < WRITE_HIGH_WATERMARK,
+            write: self.out.pending() > 0,
+        }
     }
 
     /// Everything owed has been written (or can never be): drop the
@@ -348,63 +375,16 @@ impl Conn {
         self.out.pending() == 0 && self.out.marks.is_empty() && (self.peer_closed || shutdown)
     }
 
-    /// Fast path: one idle connection on the shard reads blockingly with
-    /// a short timeout instead of poll-sleeping. Returns whether bytes
-    /// arrived (or the peer state changed).
-    fn blocking_read(&mut self, timeout: Duration) -> bool {
-        if self.stream.set_nonblocking(false).is_err()
-            || self.stream.set_read_timeout(Some(timeout)).is_err()
-        {
-            self.dead = true;
-            return true;
-        }
-        let moved = match self.stream.read(&mut self.chunk) {
-            Ok(0) => {
-                self.peer_closed = true;
-                true
-            }
-            Ok(n) => {
-                self.read_start.get_or_insert_with(Instant::now);
-                self.reader.push(&self.chunk[..n]);
-                true
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => false,
-            Err(e) if e.kind() == ErrorKind::Interrupted => false,
-            Err(_) => {
-                self.dead = true;
-                true
-            }
-        };
-        if self.stream.set_nonblocking(true).is_err() {
-            self.dead = true;
-        }
-        moved
-    }
-
     /// Drains readable bytes (budgeted) into the line reader.
-    fn read_some(&mut self) -> bool {
-        let mut total = 0;
-        loop {
-            match self.stream.read(&mut self.chunk) {
-                Ok(0) => {
-                    self.peer_closed = true;
-                    return true;
-                }
-                Ok(n) => {
+    fn read_some(&mut self, chunk: &mut [u8]) {
+        match self.reader.read_from(&mut self.stream, chunk, READ_BUDGET) {
+            Ok((bytes, eof)) => {
+                if bytes > 0 {
                     self.read_start.get_or_insert_with(Instant::now);
-                    self.reader.push(&self.chunk[..n]);
-                    total += n;
-                    if total >= READ_BUDGET {
-                        return true;
-                    }
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return total > 0,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.dead = true;
-                    return true;
-                }
+                self.peer_closed = eof;
             }
+            Err(_) => self.dead = true,
         }
     }
 
@@ -412,13 +392,13 @@ impl Conn {
     /// Framing faults become error slots — the connection survives both
     /// over-limit lines (the reader resyncs to the next newline) and
     /// invalid UTF-8.
-    fn route_new_lines(&mut self, ctx: &Ctx, waker: &Waker) -> bool {
+    fn route_new_lines(&mut self, ctx: &Ctx) {
         let mut events = Vec::new();
         while let Some(event) = self.reader.next_event() {
             events.push(event);
         }
         if events.is_empty() {
-            return false;
+            return;
         }
         // One receive timestamp for the whole batch, as in the threaded
         // server: everything framed together traces the same read span.
@@ -426,9 +406,13 @@ impl Conn {
         let read_start = self.read_start.take();
         for event in events {
             let slot = match event {
-                LineEvent::Line(line) => {
-                    server::route_line(&line, received, read_start, ctx, Some(Arc::clone(waker)))
-                }
+                LineEvent::Line(line) => server::route_line(
+                    &line,
+                    received,
+                    read_start,
+                    ctx,
+                    Some(Arc::clone(&self.waker)),
+                ),
                 LineEvent::TooLong { limit } => {
                     hmdiv_obs::counter_add("serve.line_too_long", 1);
                     RequestSlot::framing_error(ServeError::LineTooLong { limit })
@@ -439,14 +423,12 @@ impl Conn {
             };
             self.slots.push_back(slot);
         }
-        true
     }
 
     /// Resolves the contiguous head of the slot queue into response
     /// bytes. Stops at the first slot still waiting on the executor so
     /// responses keep request order.
-    fn pump(&mut self) -> bool {
-        let mut progress = false;
+    fn pump(&mut self) {
         while let Some(front) = self.slots.front() {
             let reply = match front.pending_ticket() {
                 Some(ticket) => match ticket.try_take() {
@@ -461,44 +443,22 @@ impl Conn {
                 .expect("front() just returned this slot");
             let (line, trace) = server::finish_slot(slot, reply);
             self.out.append(line.as_bytes(), trace);
-            progress = true;
         }
-        progress
     }
 
     /// Writes buffered bytes until the socket would block, completing
     /// trace records whose byte ranges have fully reached the kernel. A
     /// dead connection completes its records without a write stamp — the
     /// replies never made it, but sheds stay observable.
-    fn write_some(&mut self, ctx: &Ctx) -> bool {
+    fn write_some(&mut self, ctx: &Ctx) {
         if self.out.pending() == 0 && self.out.marks.is_empty() {
-            return false;
+            return;
         }
-        let mut progress = false;
         if !self.dead {
-            while self.out.cursor < self.out.buf.len() {
-                match self.stream.write(&self.out.buf[self.out.cursor..]) {
-                    Ok(0) => {
-                        self.dead = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        self.out.cursor += n;
-                        self.out.flushed += n as u64;
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        self.dead = true;
-                        break;
-                    }
-                }
-            }
-            if self.out.cursor == self.out.buf.len() && self.out.cursor > 0 {
-                self.out.buf.clear();
-                self.out.cursor = 0;
-                drop(self.stream.flush());
+            match reactor::write_buffered(&mut self.stream, &mut self.out.buf, &mut self.out.cursor)
+            {
+                Ok(n) => self.out.flushed += n as u64,
+                Err(_) => self.dead = true,
             }
         }
         let now = Instant::now();
@@ -516,14 +476,12 @@ impl Conn {
                 .expect("front() just matched this mark");
             let span = self.out.write_start.map(|start| (start, now));
             shed |= server::complete_trace(ctx, mark.trace, span);
-            progress = true;
         }
         if self.dead {
             self.out.buf.clear();
             self.out.cursor = 0;
             while let Some(mark) = self.out.marks.pop_front() {
                 shed |= server::complete_trace(ctx, mark.trace, None);
-                progress = true;
             }
         }
         if shed {
@@ -532,101 +490,68 @@ impl Conn {
         if self.out.pending() == 0 && self.out.marks.is_empty() {
             self.out.write_start = None;
         }
-        progress
     }
 }
 
 #[cfg(test)]
 mod tests {
-    //! Socket-free tests of the shard handoff protocol — the CI Miri
-    //! targets for the poller's lock/condvar core.
+    //! Socket-free tests of the shard hand-off — run under Miri (against
+    //! the reactor's fallback) as well as natively.
 
     use super::*;
+    use std::time::Duration;
 
-    fn shard() -> Arc<Shard> {
-        Arc::new(Shard {
-            inbox: Mutex::new(Inbox {
-                conns: Vec::new(),
-                notified: false,
-            }),
-            bell: Condvar::new(),
-        })
+    fn shard() -> (Arc<Shard>, Reactor) {
+        let reactor = Reactor::new().unwrap();
+        (Arc::new(Shard::new(reactor.waker())), reactor)
     }
 
-    /// The shard loop's adopt step: take newcomers and the bell state in
-    /// one lock, clearing both (mirrors `run_shard`).
-    fn adopt(shard: &Shard) -> (Vec<TcpStream>, bool) {
-        let mut inbox = shard.lock();
-        let notified = inbox.notified;
-        inbox.notified = false;
-        (std::mem::take(&mut inbox.conns), notified)
+    fn woken(reactor: &mut Reactor) -> bool {
+        reactor.wait(&mut Vec::new(), Some(Duration::ZERO)).unwrap()
     }
 
     #[test]
-    fn wake_sets_the_flag_and_adopt_clears_it() {
-        let shard = shard();
-        assert!(!adopt(&shard).1, "fresh shard is quiet");
-        shard.wake();
-        assert!(adopt(&shard).1, "wake must be visible to adopt");
-        assert!(!adopt(&shard).1, "adopt consumes the wake");
+    fn a_mark_rings_the_shard_and_take_consumes_it() {
+        let (shard, mut reactor) = shard();
+        assert!(!woken(&mut reactor), "fresh shard is quiet");
+        shard.mark_ready(3);
+        assert!(woken(&mut reactor), "the mark must ring the reactor");
+        assert_eq!(shard.take().ready, vec![3]);
+        assert!(shard.take().ready.is_empty(), "take consumes the mark");
+        assert!(!woken(&mut reactor));
     }
 
     #[test]
-    fn wake_landing_mid_sweep_prevents_the_sleep() {
-        // A wake that arrives after adopt cleared the flag but before the
-        // shard re-checks it at the sleep site must keep the shard awake:
-        // the sleep guard re-reads `notified` under the same lock.
-        let shard = shard();
-        let (_, notified) = adopt(&shard);
-        assert!(!notified);
-        shard.wake();
-        let inbox = shard.lock();
-        assert!(
-            inbox.notified || !inbox.conns.is_empty(),
-            "sleep guard must see the mid-sweep wake"
-        );
+    fn a_mark_landing_mid_service_wakes_the_next_wait() {
+        // A mark that arrives after the shard emptied its inbox but
+        // before it waits again must end that wait.
+        let (shard, mut reactor) = shard();
+        shard.mark_ready(1);
+        assert!(woken(&mut reactor));
+        assert_eq!(shard.take().ready, vec![1]);
+        shard.mark_ready(2);
+        assert!(woken(&mut reactor), "the mid-service mark is not lost");
+        assert_eq!(shard.take().ready, vec![2]);
     }
 
     #[test]
-    fn concurrent_wakes_are_coalesced_but_never_lost() {
-        let shard = shard();
+    fn concurrent_marks_are_coalesced_but_never_lost() {
+        let (shard, mut reactor) = shard();
         std::thread::scope(|s| {
-            for _ in 0..4 {
+            for t in 0..4 {
                 let shard = Arc::clone(&shard);
                 s.spawn(move || {
-                    for _ in 0..25 {
-                        shard.wake();
+                    for i in 0..25 {
+                        shard.mark_ready(t * 25 + i);
                     }
                 });
             }
         });
-        // 100 wakes may fold into one flag, but at least one must survive.
-        assert!(adopt(&shard).1);
-        assert!(!adopt(&shard).1);
-    }
-
-    #[test]
-    fn sleeping_shard_is_woken_by_the_bell() {
-        let shard = shard();
-        let sleeper = Arc::clone(&shard);
-        let handle = std::thread::spawn(move || {
-            // The shard loop's idle path: sleep only while quiet, bounded
-            // by the backoff timeout so a missed bell cannot hang the test.
-            loop {
-                let inbox = sleeper.lock();
-                if inbox.notified {
-                    return true;
-                }
-                let (inbox, _) = sleeper
-                    .bell
-                    .wait_timeout(inbox, Duration::from_millis(50))
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                if inbox.notified {
-                    return true;
-                }
-            }
-        });
-        shard.wake();
-        assert!(handle.join().expect("sleeper panicked"));
+        // 100 rings may fold into one wake, but every token survives.
+        assert!(woken(&mut reactor));
+        let mut ready = shard.take().ready;
+        ready.sort_unstable();
+        assert_eq!(ready, (0..100).collect::<Vec<_>>());
+        assert!(!woken(&mut reactor));
     }
 }

@@ -23,6 +23,8 @@
 //! `u64` content hashes travel as 16-digit hex strings (JSON numbers are
 //! doubles and cannot carry 64 bits).
 
+use std::io::{self, Read};
+
 use hmdiv_core::cohort::CohortMember;
 use hmdiv_core::extrapolate::Scenario;
 use hmdiv_core::{
@@ -91,6 +93,37 @@ impl LineReader {
     /// Appends raw socket bytes.
     pub fn push(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// Reads a nonblocking `src` through `chunk` until it would block,
+    /// at least `budget` bytes have arrived, or the stream ends. Returns
+    /// the bytes buffered and whether the stream ended; frame them with
+    /// [`next_event`](LineReader::next_event).
+    ///
+    /// # Errors
+    ///
+    /// Any read error other than would-block or an interrupt: the
+    /// connection is broken.
+    pub fn read_from(
+        &mut self,
+        src: &mut impl Read,
+        chunk: &mut [u8],
+        budget: usize,
+    ) -> io::Result<(usize, bool)> {
+        let mut total = 0;
+        while total < budget {
+            match src.read(chunk) {
+                Ok(0) => return Ok((total, true)),
+                Ok(n) => {
+                    self.push(&chunk[..n]);
+                    total += n;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok((total, false))
     }
 
     /// Bytes buffered but not yet framed (bounded by the limit outside

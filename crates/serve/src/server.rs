@@ -2,10 +2,10 @@
 //! verb routing into the registry and the batch executor.
 //!
 //! Connections are **not** given their own threads. The accept loop
-//! registers each socket with a small fixed [`PollerPool`] of readiness
-//! threads (see [`crate::poller`]); every connection is a state machine
-//! multiplexed over nonblocking reads, in-order request slots, and
-//! buffered backpressured writes. A client that pipelines N requests gets
+//! waits on the listener through a [`Reactor`] and hands each socket to
+//! a small fixed pool of readiness threads, the poller shards; every
+//! connection is a state machine multiplexed over nonblocking reads,
+//! in-order request slots, and buffered backpressured writes. A client that pipelines N requests gets
 //! them framed together and coalesced into dense batch evaluations, and
 //! concurrent clients coalesce with each other through the shared
 //! [`Batcher`] queue — exactly as under the old thread-per-connection
@@ -39,11 +39,14 @@ use crate::error::ServeError;
 use crate::json::Json;
 use crate::poller::PollerPool;
 use crate::protocol::{self, Envelope};
+use crate::reactor::{Interest, Reactor};
 use crate::registry::{Artifact, LoadReceipt, Registry};
 use crate::shutdown::ShutdownSignal;
 
-/// How long the accept loop naps when no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
+/// How long the accept loop pauses after a failed accept (e.g. out of
+/// file descriptors): the connection stays queued and the listener
+/// readable, so waiting on the reactor would spin.
+const ACCEPT_RETRY: Duration = Duration::from_millis(20);
 
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -212,10 +215,13 @@ impl Server {
             tracer,
         });
         hmdiv_obs::gauge_set("serve.connections", 0.0);
+        let mut reactor = Reactor::new()?;
+        reactor.register(&listener, 0, Interest::READ)?;
+        signal.wake_on_request(reactor.waker());
         let pool = PollerPool::start(ctx.poller_threads, &ctx)?;
         let accept = std::thread::Builder::new()
             .name("hmdiv-serve-accept".into())
-            .spawn(move || accept_loop(&listener, &ctx, pool))?;
+            .spawn(move || accept_loop(&listener, reactor, &ctx, pool))?;
         Ok(Server {
             addr,
             signal,
@@ -266,7 +272,11 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(listener: &TcpListener, ctx: &Arc<Ctx>, pool: PollerPool) {
+/// Accepts until shutdown: the reactor wakes it for a pending
+/// connection (the listener is its only socket) or for the shutdown
+/// signal.
+fn accept_loop(listener: &TcpListener, mut reactor: Reactor, ctx: &Arc<Ctx>, pool: PollerPool) {
+    let mut ready = Vec::new();
     while !ctx.signal.is_requested() {
         match listener.accept() {
             Ok((stream, _peer)) => {
@@ -274,11 +284,14 @@ fn accept_loop(listener: &TcpListener, ctx: &Arc<Ctx>, pool: PollerPool) {
                 pool.register(stream);
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                ctx.signal.wait_timeout(ACCEPT_POLL);
+                if reactor.wait(&mut ready, None).is_err() {
+                    // A broken wait set: fall back to pausing.
+                    ctx.signal.wait_timeout(ACCEPT_RETRY);
+                }
             }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(_) => {
-                // Transient accept failure (e.g. EMFILE); back off briefly.
-                ctx.signal.wait_timeout(ACCEPT_POLL);
+                ctx.signal.wait_timeout(ACCEPT_RETRY);
             }
         }
     }
