@@ -247,9 +247,10 @@ pub fn compare(
 /// Bit comparison (not float equality) is deliberate: shared means *the
 /// same slot*, and distinguishes e.g. `0.0` from `-0.0`.
 fn slot_is_shared(a: &CompiledModel, b: &CompiledModel, i: usize) -> bool {
-    a.p_mf_slice()[i].to_bits() == b.p_mf_slice()[i].to_bits()
-        && a.p_hf_given_ms_slice()[i].to_bits() == b.p_hf_given_ms_slice()[i].to_bits()
-        && a.p_hf_given_mf_slice()[i].to_bits() == b.p_hf_given_mf_slice()[i].to_bits()
+    let (a, b) = (a.params_slice()[i], b.params_slice()[i]);
+    a.p_mf().value().to_bits() == b.p_mf().value().to_bits()
+        && a.p_hf_given_ms().value().to_bits() == b.p_hf_given_ms().value().to_bits()
+        && a.p_hf_given_mf().value().to_bits() == b.p_hf_given_mf().value().to_bits()
 }
 
 #[cfg(test)]

@@ -86,7 +86,7 @@ pub use sens::{
 pub use verifier::{verify, PostfixOp, PostfixProgram};
 
 use hmdiv_core::cohort::ReaderCohort;
-use hmdiv_core::{CompiledDetectionModel, CompiledModel, CompiledProfile, SequentialModel};
+use hmdiv_core::{CompiledModel, CompiledProfile, ParallelDetectionModel, SequentialModel};
 
 /// Analyzes a compiled sequential model, optionally together with a bound
 /// profile. This is the check the `hmdiv-serve` registry runs at `load`.
@@ -99,15 +99,15 @@ pub fn analyze_model(model: &CompiledModel, profile: Option<&CompiledProfile>) -
     report
 }
 
-/// Analyzes a sequential model through its lazily-compiled dense form.
+/// Analyzes a sequential model through its dense form.
 #[must_use]
 pub fn analyze_sequential(model: &SequentialModel) -> Report {
     analyze_model(model.compiled(), None)
 }
 
-/// Analyzes a compiled parallel-detection model.
+/// Analyzes a parallel-detection model.
 #[must_use]
-pub fn analyze_detection(model: &CompiledDetectionModel) -> Report {
+pub fn analyze_detection(model: &ParallelDetectionModel) -> Report {
     params::check_detection(model)
 }
 

@@ -13,7 +13,7 @@
 //! slots a bound profile can never demand.
 
 use hmdiv_core::cohort::ReaderCohort;
-use hmdiv_core::{ClassUniverse, CompiledDetectionModel, CompiledModel, CompiledProfile};
+use hmdiv_core::{ClassUniverse, CompiledModel, CompiledProfile, ParallelDetectionModel};
 
 use crate::diag::{codes, Report};
 
@@ -58,21 +58,23 @@ pub fn check_model(model: &CompiledModel) -> Report {
         return report;
     }
     let universe = model.universe();
-    let p_mf = model.p_mf_slice();
-    let p_hf_ms = model.p_hf_given_ms_slice();
-    let p_hf_mf = model.p_hf_given_mf_slice();
-    for i in 0..model.len() {
+    for (i, cp) in model.params_slice().iter().enumerate() {
         let class = universe.class(i as u32).name();
-        let ok = check_slot(&mut report, p_mf[i], class, "P(Mf)")
-            & check_slot(&mut report, p_hf_ms[i], class, "P(Hf|Ms)")
-            & check_slot(&mut report, p_hf_mf[i], class, "P(Hf|Mf)");
+        let (p_mf, p_hf_ms, p_hf_mf) = (
+            cp.p_mf().value(),
+            cp.p_hf_given_ms().value(),
+            cp.p_hf_given_mf().value(),
+        );
+        let ok = check_slot(&mut report, p_mf, class, "P(Mf)")
+            & check_slot(&mut report, p_hf_ms, class, "P(Hf|Ms)")
+            & check_slot(&mut report, p_hf_mf, class, "P(Hf|Mf)");
         if !ok {
             continue;
         }
         // Eq. (9): t(x) = P(Hf|Mf)(x) − P(Hf|Ms)(x). Ordered comparisons
         // keep the sign test inside the `float_cmp` house rule; both
         // slots are finite here, so trichotomy is exhaustive.
-        let t = p_hf_mf[i] - p_hf_ms[i];
+        let t = p_hf_mf - p_hf_ms;
         if t < 0.0 {
             report.emit(
                 &codes::NEGATIVE_COHERENCE_INDEX,
@@ -88,7 +90,7 @@ pub fn check_model(model: &CompiledModel) -> Report {
                 format!("class `{class}`: t(x) = 0 — human failure is independent of the advice"),
             );
         }
-        if p_mf[i] >= 1.0 {
+        if p_mf >= 1.0 {
             report.emit(
                 &codes::MACHINE_NEVER_SUCCEEDS,
                 PASS,
@@ -174,9 +176,9 @@ pub fn check_profile(model_universe: &ClassUniverse, profile: &CompiledProfile) 
     report
 }
 
-/// Checks a compiled parallel-detection model's parameter slots.
+/// Checks a parallel-detection model's parameter slots.
 #[must_use]
-pub fn check_detection(model: &CompiledDetectionModel) -> Report {
+pub fn check_detection(model: &ParallelDetectionModel) -> Report {
     let _span = hmdiv_obs::span("analyze.params");
     let mut report = Report::new();
     let universe = model.universe();
@@ -284,8 +286,7 @@ mod tests {
             )
             .build()
             .unwrap();
-        let compiled = hmdiv_core::CompiledDetectionModel::compile(&model);
-        assert!(!check_detection(&compiled).has_errors());
+        assert!(!check_detection(&model).has_errors());
     }
 
     #[test]

@@ -544,14 +544,12 @@ pub fn model_sensitivity(model: &CompiledModel, profile: &CompiledProfile) -> Mo
     for (idx, w) in profile.iter() {
         weights[idx as usize] = w;
     }
-    let p_mf = model.p_mf_slice();
-    let p_hf_ms = model.p_hf_given_ms_slice();
-    let p_hf_mf = model.p_hf_given_mf_slice();
     let mut classes = Vec::with_capacity(n);
     let mut non_coherent = 0usize;
-    for i in 0..n {
+    for (i, cp) in model.params_slice().iter().enumerate() {
         let class = model.universe().class(i as u32).name().to_owned();
-        let t = p_hf_mf[i] - p_hf_ms[i];
+        let p_mf = cp.p_mf().value();
+        let t = cp.p_hf_given_mf().value() - cp.p_hf_given_ms().value();
         let d_mf = weights[i] * t;
         let direction = Direction::of(Interval::point(d_mf));
         if direction == Direction::Decreasing {
@@ -568,8 +566,8 @@ pub fn model_sensitivity(model: &CompiledModel, profile: &CompiledProfile) -> Mo
             class,
             weight: weights[i],
             d_machine_failure: Interval::point(d_mf),
-            d_human_given_success: Interval::point(weights[i] * (1.0 - p_mf[i])),
-            d_human_given_failure: Interval::point(weights[i] * p_mf[i]),
+            d_human_given_success: Interval::point(weights[i] * (1.0 - p_mf)),
+            d_human_given_failure: Interval::point(weights[i] * p_mf),
             direction,
         });
     }
@@ -777,7 +775,8 @@ mod tests {
         let sens = model_sensitivity(compiled, &bound);
         assert!(!sens.report.has_errors());
         for (i, cs) in sens.classes.iter().enumerate() {
-            let t = compiled.p_hf_given_mf_slice()[i] - compiled.p_hf_given_ms_slice()[i];
+            let cp = compiled.params_at(i as u32);
+            let t = cp.p_hf_given_mf().value() - cp.p_hf_given_ms().value();
             let want = cs.weight * t;
             assert!((cs.d_machine_failure.lo - want).abs() < 1e-15);
             assert_eq!(cs.direction, Direction::Increasing, "{}", cs.class);

@@ -1,14 +1,11 @@
-//! Map-based vs compiled vs lane-blocked model evaluation.
+//! Scalar vs lane-blocked dense model evaluation.
 //!
-//! Measures what the PR-3 compiled layer bought — a single eq. (8)
-//! evaluation (map walk vs dense indexed sum) and a 1000-scenario design
-//! sweep (clone-a-`BTreeMap`-model per scenario vs batch patch/restore over
-//! one scratch buffer) — and what the PR-6 lane-blocked kernels buy on top:
-//! `compiled_scalar` is the PR-3 one-scenario-at-a-time inner loop
-//! (reproduced here via the public [`CompiledModel::apply_scenario_into`]),
-//! `compiled` is the lane-blocked [`CompiledModel::evaluate_scenarios`]
-//! batch. The sweep ratios are the acceptance gates recorded in
-//! `BENCH_pr6.json`.
+//! Measures a single eq. (8) evaluation (dense indexed sum) and a
+//! 1000-scenario design sweep two ways: `compiled_scalar` is the
+//! one-scenario-at-a-time inner loop (reproduced here via the public
+//! [`CompiledModel::apply_scenario_into`]), `compiled` is the lane-blocked
+//! [`CompiledModel::evaluate_scenarios`] batch. The sweep ratio is the
+//! acceptance gate recorded in `BENCH_pr6.json`.
 //!
 //! Setting `HMDIV_BENCH_GUARD=1` skips the criterion groups and instead
 //! runs a self-contained measured comparison of the scalar-compiled and
@@ -51,17 +48,6 @@ fn synthetic_model(n: usize) -> (SequentialModel, DemandProfile) {
     )
 }
 
-/// The pre-PR-3 eq. (8): walk the profile, look each class up in the
-/// `BTreeMap` parameter table.
-fn map_system_failure(model: &SequentialModel, profile: &DemandProfile) -> Probability {
-    let mut total = 0.0;
-    for (class, weight) in profile.iter() {
-        let cp = model.params().class(class).expect("covered");
-        total += weight.value() * cp.class_failure().value();
-    }
-    Probability::clamped(total)
-}
-
 /// A 1000-scenario design sweep: improvement factors fanned over classes.
 fn sweep_scenarios(n_classes: usize) -> Vec<Scenario> {
     (0..1000)
@@ -73,7 +59,7 @@ fn sweep_scenarios(n_classes: usize) -> Vec<Scenario> {
         .collect()
 }
 
-/// Eq. (8) over a patched scratch table — the PR-3 scalar inner loop's
+/// Eq. (8) over a patched scratch table — the scalar inner loop's
 /// evaluation half (one multiply-add per profile entry, no lanes).
 fn scalar_failure_over(scratch: &[ClassParams], bound: &CompiledProfile) -> Probability {
     let mut total = 0.0;
@@ -83,8 +69,8 @@ fn scalar_failure_over(scratch: &[ClassParams], bound: &CompiledProfile) -> Prob
     Probability::clamped(total)
 }
 
-/// The PR-3 compiled sweep: apply each scenario to the dense scratch table
-/// and evaluate it alone — no lane blocking, no multi-patch fusion.
+/// The scalar compiled sweep: apply each scenario to the dense scratch
+/// table and evaluate it alone — no lane blocking, no multi-patch fusion.
 fn scalar_compiled_sweep(
     compiled: &CompiledModel,
     bound: &CompiledProfile,
@@ -105,9 +91,6 @@ fn bench_single_eval(c: &mut Criterion) {
     let mut group = c.benchmark_group("single_eval");
     for n in [8usize, 32, 128] {
         let (model, profile) = synthetic_model(n);
-        group.bench_with_input(BenchmarkId::new("map", n), &n, |b, _| {
-            b.iter(|| map_system_failure(&model, &profile));
-        });
         let compiled = model.compiled().clone();
         let bound = compiled.bind_profile(&profile).expect("covered");
         group.bench_with_input(BenchmarkId::new("compiled", n), &n, |b, _| {
@@ -122,17 +105,6 @@ fn bench_scenario_sweep(c: &mut Criterion) {
     for n in [8usize, 32] {
         let (model, profile) = synthetic_model(n);
         let scenarios = sweep_scenarios(n);
-        group.bench_with_input(BenchmarkId::new("map", n), &n, |b, _| {
-            b.iter(|| {
-                scenarios
-                    .iter()
-                    .map(|s| {
-                        let applied = s.apply(&model).expect("valid");
-                        map_system_failure(&applied, &profile)
-                    })
-                    .collect::<Vec<_>>()
-            });
-        });
         let compiled = model.compiled().clone();
         let bound = compiled.bind_profile(&profile).expect("covered");
         let mut scratch: Vec<ClassParams> = Vec::new();

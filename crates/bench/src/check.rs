@@ -121,7 +121,7 @@ fn check_detection(body: &Json) -> Result<CheckOutcome, String> {
     let model = builder.build().map_err(|e| e.to_string())?;
     Ok(CheckOutcome {
         kind: "detection",
-        report: analyze::analyze_detection(model.compiled()),
+        report: analyze::analyze_detection(&model),
         bounds: None,
     })
 }

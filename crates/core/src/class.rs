@@ -76,13 +76,13 @@ impl Borrow<str> for ClassId {
 
 /// An interned, sorted universe of demand classes.
 ///
-/// Class names resolve **once** to dense `u32` indices; every compiled
-/// evaluation structure ([`crate::compiled`]) stores its per-class data in
-/// parallel vectors over these indices, so hot loops index slices instead of
-/// walking `BTreeMap<ClassId, _>` nodes. Indices follow sorted name order —
-/// the same order a `BTreeMap` iterates — which is what keeps compiled
-/// evaluation bit-identical to the map-based reference (including RNG
-/// consumption order in posterior sampling).
+/// Class names resolve **once** to dense `u32` indices; every model table
+/// ([`crate::ModelParams`], [`crate::ParallelDetectionModel`]) stores its
+/// per-class data in a vector over these indices, so hot loops index
+/// slices instead of walking `BTreeMap<ClassId, _>` nodes. Indices follow
+/// sorted name order — the same order a `BTreeMap` iterates — which is
+/// what keeps dense evaluation bit-identical to a by-name map walk
+/// (including RNG consumption order in posterior sampling).
 ///
 /// # Example
 ///

@@ -128,8 +128,8 @@ impl ReaderCohort {
     }
 
     /// Evaluates the cohort under a profile. Each member's model is
-    /// evaluated through its compiled dense representation (compiled lazily
-    /// on first use, then cached on the member's [`SequentialModel`]).
+    /// evaluated through its dense representation
+    /// ([`SequentialModel::compiled`]).
     ///
     /// # Errors
     ///

@@ -1,28 +1,30 @@
-//! Dense compiled evaluation of the core models.
+//! Dense evaluation of the sequential model.
 //!
 //! Every hot path in the reproduction — eq. (8) `system_failure`, §5
-//! scenario sweeps, §6.2 design ranking, uncertainty Monte-Carlo — used to
-//! re-walk `BTreeMap<ClassId, _>` tables keyed by `Arc<str>` and clone whole
-//! models per candidate. This module applies the compile-then-evaluate
-//! architecture proven on RBDs (`hmdiv_rbd::compiled`) to the sequential and
-//! parallel-detection models:
+//! scenario sweeps, §6.2 design ranking, uncertainty Monte-Carlo — runs on
+//! one dense representation, the compile-then-evaluate architecture proven
+//! on RBDs (`hmdiv_rbd::compiled`):
 //!
 //! * class names are interned once into a [`ClassUniverse`] of dense `u32`
-//!   indices (sorted-name order — the order a `BTreeMap` iterates);
-//! * a [`CompiledModel`] stores per-class parameters in parallel vectors
-//!   over those indices (struct-of-arrays: `p_mf`, `p_hf_given_ms`,
-//!   `p_hf_given_mf` as `Vec<f64>` mirrors of the exact `ClassParams`);
+//!   indices (sorted-name order), and a [`ModelParams`] table stores one
+//!   [`ClassParams`] slot per index — the only copy of a model's
+//!   parameters;
+//! * a [`CompiledModel`] wraps that table and adds the one derived column
+//!   the lane kernels read, `PHf(x)` per index;
 //! * a [`CompiledProfile`] resolves a [`DemandProfile`]'s classes to indices
 //!   once, keeping weights in **profile insertion order** so summation
-//!   order — and therefore every result bit — matches the map-based path;
+//!   order — and therefore every result bit — matches a by-name walk of
+//!   the table;
+//! * [`CompiledModel::apply_scenario_into`] is the one implementation of
+//!   [`Scenario`] semantics ([`Scenario::apply`] calls it);
 //! * [`CompiledModel::patch`]/[`CompiledModel::restore`] mutate one class
 //!   slot in place, so design ranking, budget allocation and importance
 //!   sweeps evaluate candidates without cloning a model per candidate.
 //!
-//! Evaluation calls the *same* [`ClassParams`] methods as the map-based
-//! reference (never algebraically-equivalent reformulations), which is what
-//! makes compiled results bit-identical — pinned by
-//! `crates/core/tests/compiled_equivalence.rs`.
+//! Evaluation calls the *same* [`ClassParams`] methods as a by-name
+//! reference walk (never algebraically-equivalent reformulations), which
+//! is what makes results bit-identical to it — pinned against independent
+//! map-based oracles by `crates/core/tests/compiled_equivalence.rs`.
 //!
 //! The batch entry points are **lane-blocked**: [`SCENARIO_LANES`] (or
 //! [`PROFILE_LANES`]) *independent* evaluations advance per inner-loop
@@ -43,10 +45,7 @@ use hmdiv_prob::Probability;
 
 use crate::adaptation::AdaptationResponse;
 use crate::extrapolate::{Change, Scenario};
-use crate::{
-    ClassParams, ClassUniverse, DemandProfile, DetectionParams, ModelError, ModelParams,
-    ParallelDetectionModel,
-};
+use crate::{ClassParams, ClassUniverse, DemandProfile, ModelError, ModelParams};
 
 /// Independent scenario evaluations advanced per lane-blocked inner-loop
 /// iteration. Eight `f64` lanes fill one 512-bit (or two 256-bit) vector
@@ -136,108 +135,77 @@ impl CompiledProfile {
     }
 }
 
-/// The sequential model compiled to dense per-class storage.
+/// The sequential model's dense parameter table plus its class-failure
+/// column.
 ///
-/// Holds the exact [`ClassParams`] per universe index (evaluation reuses
-/// their methods verbatim) plus struct-of-arrays `f64` mirrors for analyses
-/// that consume raw columns (sensitivity gradients, decomposition,
-/// importance sweeps).
+/// The table holds the exact [`ClassParams`] per universe index
+/// (evaluation reuses their methods verbatim); the column caches
+/// `PHf(x)` per index for the lane kernels.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledModel {
-    universe: Arc<ClassUniverse>,
-    params: Vec<ClassParams>,
-    p_mf: Vec<f64>,
-    p_hf_given_ms: Vec<f64>,
-    p_hf_given_mf: Vec<f64>,
+    table: ModelParams,
     /// `PHf(x)` per universe index: exactly the value
-    /// `params[i].class_failure().value()` would produce, kept in sync by
-    /// [`CompiledModel::patch`]. The lane kernels read this column instead
-    /// of re-mixing the conditionals per evaluation.
+    /// `table.slots()[i].class_failure().value()` would produce, kept in
+    /// sync by [`CompiledModel::patch`]. The lane kernels read this column
+    /// instead of re-mixing the conditionals per evaluation.
     class_failure: Vec<f64>,
 }
 
 impl CompiledModel {
-    /// Compiles a parameter table: interns the class names and lays the
-    /// parameters out densely in universe (sorted-name) order.
+    /// Wraps a parameter table and computes its class-failure column.
     ///
     /// Recorded under the `core.compile` span with a
     /// `core.compile.classes` counter when observability is enabled.
     #[must_use]
-    pub fn compile(params: &ModelParams) -> Self {
+    pub fn new(table: ModelParams) -> Self {
         let span = hmdiv_obs::span("core.compile");
-        let universe = Arc::new(ClassUniverse::from_names(params.classes().cloned()));
-        let mut dense = Vec::with_capacity(params.len());
-        let mut p_mf = Vec::with_capacity(params.len());
-        let mut p_hf_given_ms = Vec::with_capacity(params.len());
-        let mut p_hf_given_mf = Vec::with_capacity(params.len());
-        let mut class_failure = Vec::with_capacity(params.len());
-        // `ModelParams::iter` walks the BTreeMap in sorted order, which is
-        // exactly the universe's index order — the vectors stay aligned.
-        for (_, cp) in params.iter() {
-            dense.push(*cp);
-            p_mf.push(cp.p_mf().value());
-            p_hf_given_ms.push(cp.p_hf_given_ms().value());
-            p_hf_given_mf.push(cp.p_hf_given_mf().value());
-            class_failure.push(cp.class_failure().value());
-        }
-        hmdiv_obs::counter_add("core.compile.classes", params.len() as u64);
+        let class_failure = table
+            .slots()
+            .iter()
+            .map(|cp| cp.class_failure().value())
+            .collect();
+        hmdiv_obs::counter_add("core.compile.classes", table.len() as u64);
         drop(span);
         CompiledModel {
-            universe,
-            params: dense,
-            p_mf,
-            p_hf_given_ms,
-            p_hf_given_mf,
+            table,
             class_failure,
         }
+    }
+
+    /// The parameter table, in its name-keyed form.
+    #[must_use]
+    pub fn params(&self) -> &ModelParams {
+        &self.table
     }
 
     /// The interned class universe.
     #[must_use]
     pub fn universe(&self) -> &Arc<ClassUniverse> {
-        &self.universe
+        self.table.universe()
     }
 
     /// Number of classes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.params.len()
+        self.table.len()
     }
 
-    /// Whether the model has no classes (never true for a compiled table).
+    /// Whether the model has no classes (never true for a built table).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.params.is_empty()
+        self.table.is_empty()
     }
 
     /// The parameters at a universe index.
     #[must_use]
     pub fn params_at(&self, index: u32) -> ClassParams {
-        self.params[index as usize]
+        self.table.slots()[index as usize]
     }
 
     /// The dense parameter slots in universe order.
     #[must_use]
     pub fn params_slice(&self) -> &[ClassParams] {
-        &self.params
-    }
-
-    /// `PMf(x)` per universe index.
-    #[must_use]
-    pub fn p_mf_slice(&self) -> &[f64] {
-        &self.p_mf
-    }
-
-    /// `PHf|Ms(x)` per universe index.
-    #[must_use]
-    pub fn p_hf_given_ms_slice(&self) -> &[f64] {
-        &self.p_hf_given_ms
-    }
-
-    /// `PHf|Mf(x)` per universe index.
-    #[must_use]
-    pub fn p_hf_given_mf_slice(&self) -> &[f64] {
-        &self.p_hf_given_mf
+        self.table.slots()
     }
 
     /// `PHf(x)` per universe index — the class-failure column the lane
@@ -254,12 +222,11 @@ impl CompiledModel {
     /// [`ModelError::UnknownClass`] if the profile mentions a class the
     /// model does not cover.
     pub fn bind_profile(&self, profile: &DemandProfile) -> Result<CompiledProfile, ModelError> {
-        CompiledProfile::bind(&self.universe, profile)
+        CompiledProfile::bind(self.universe(), profile)
     }
 
-    /// Eq. (8) over a bound profile — the same sum, in the same order, as
-    /// the map-based [`crate::SequentialModel::system_failure`], reading the
-    /// precomputed class-failure column.
+    /// Eq. (8) over a bound profile, summed in profile insertion order,
+    /// reading the precomputed class-failure column.
     #[must_use]
     pub fn system_failure(&self, profile: &CompiledProfile) -> Probability {
         let mut total = 0.0;
@@ -275,7 +242,7 @@ impl CompiledModel {
     pub fn machine_failure(&self, profile: &CompiledProfile) -> Probability {
         let mut total = 0.0;
         for (idx, w) in profile.iter() {
-            total += w * self.params[idx as usize].p_mf().value();
+            total += w * self.table.slots()[idx as usize].p_mf().value();
         }
         Probability::clamped(total)
     }
@@ -292,7 +259,7 @@ impl CompiledModel {
         let mut joint = 0.0;
         let mut marginal = 0.0;
         for (idx, w) in profile.iter() {
-            let cp = &self.params[idx as usize];
+            let cp = &self.table.slots()[idx as usize];
             joint += w * cp.p_ms().value() * cp.p_hf_given_ms().value();
             marginal += w * cp.p_ms().value();
         }
@@ -317,7 +284,7 @@ impl CompiledModel {
         let mut joint = 0.0;
         let mut marginal = 0.0;
         for (idx, w) in profile.iter() {
-            let cp = &self.params[idx as usize];
+            let cp = &self.table.slots()[idx as usize];
             joint += w * cp.p_mf().value() * cp.p_hf_given_mf().value();
             marginal += w * cp.p_mf().value();
         }
@@ -429,8 +396,8 @@ impl CompiledModel {
     /// patch/restore — the baseline is never cloned as a map) and evaluates
     /// eq. (8) under the bound profile, lane-blocked [`SCENARIO_LANES`]
     /// scenarios at a time with a scalar tail. A block's scenarios are
-    /// multi-patched into a strided scratch region and evaluated by one
-    /// fused pass; see [`LaneScratch`].
+    /// multi-patched into a strided `[class][lane]` scratch region and
+    /// evaluated by one fused pass.
     ///
     /// Records `core.compiled.scenario_evals` plus the
     /// `core.compiled.lane_blocks` / `core.compiled.lane_tail` kernel
@@ -491,10 +458,8 @@ impl CompiledModel {
         lanes: &mut LaneScratch,
     ) -> Result<[Probability; SCENARIO_LANES], ModelError> {
         debug_assert_eq!(block.len(), SCENARIO_LANES);
-        if lanes.cf_block.len() != self.params.len() * SCENARIO_LANES {
-            lanes
-                .cf_block
-                .resize(self.params.len() * SCENARIO_LANES, 0.0);
+        if lanes.cf_block.len() != self.len() * SCENARIO_LANES {
+            lanes.cf_block.resize(self.len() * SCENARIO_LANES, 0.0);
         }
         for &idx in profile.indices() {
             let i = idx as usize;
@@ -546,7 +511,7 @@ impl CompiledModel {
         for change in scenario.changes() {
             let (i, updated) = match change {
                 Change::ImproveMachine { class, factor } => {
-                    let i = self.universe.resolve(class.name())? as usize;
+                    let i = self.universe().resolve(class.name())? as usize;
                     (
                         i,
                         self.overlay_base(overlay, i)
@@ -554,7 +519,7 @@ impl CompiledModel {
                     )
                 }
                 Change::SetMachineFailure { class, p_mf } => {
-                    let i = self.universe.resolve(class.name())? as usize;
+                    let i = self.universe().resolve(class.name())? as usize;
                     (i, self.overlay_base(overlay, i).with_p_mf(*p_mf))
                 }
                 Change::SetReader {
@@ -562,7 +527,7 @@ impl CompiledModel {
                     p_hf_given_ms,
                     p_hf_given_mf,
                 } => {
-                    let i = self.universe.resolve(class.name())? as usize;
+                    let i = self.universe().resolve(class.name())? as usize;
                     (
                         i,
                         self.overlay_base(overlay, i)
@@ -588,12 +553,12 @@ impl CompiledModel {
         overlay
             .iter()
             .find(|(j, _)| *j == i)
-            .map_or(self.params[i], |(_, cp)| *cp)
+            .map_or(self.table.slots()[i], |(_, cp)| *cp)
     }
 
     /// [`CompiledModel::evaluate_scenarios`] sharded across the
     /// `hmdiv_prob::par` executor: the lane-block index is the task id,
-    /// each worker keeps one private [`LaneScratch`], and per-scenario
+    /// each worker keeps one private lane scratch, and per-scenario
     /// results ride the in-order merge — bit-identical to the sequential
     /// batch at every thread count, including which error surfaces first
     /// (blocks run in task order; lanes within a block in scenario order).
@@ -675,8 +640,12 @@ impl CompiledModel {
     }
 
     /// Applies a scenario's changes (and adaptation) to `scratch`, which is
-    /// reset to this model's baseline first. Slot-for-slot the same
-    /// transformations as [`Scenario::apply`], without building maps.
+    /// reset to this model's slots first: the one implementation of
+    /// scenario semantics ([`Scenario::apply`] wraps the result in a model).
+    ///
+    /// The adaptation response is validated first, then the changes apply
+    /// in order, then the reader adapts to the machine change slot by slot,
+    /// referenced against this (the baseline) model's `PMf(x)`.
     ///
     /// # Errors
     ///
@@ -688,11 +657,11 @@ impl CompiledModel {
     ) -> Result<(), ModelError> {
         scenario.adaptation().validate()?;
         scratch.clear();
-        scratch.extend_from_slice(&self.params);
+        scratch.extend_from_slice(self.table.slots());
         for change in scenario.changes() {
             match change {
                 Change::ImproveMachine { class, factor } => {
-                    let i = self.universe.resolve(class.name())? as usize;
+                    let i = self.universe().resolve(class.name())? as usize;
                     scratch[i] = scratch[i].with_machine_improved(*factor)?;
                 }
                 Change::ImproveMachineEverywhere { factor } => {
@@ -701,7 +670,7 @@ impl CompiledModel {
                     }
                 }
                 Change::SetMachineFailure { class, p_mf } => {
-                    let i = self.universe.resolve(class.name())? as usize;
+                    let i = self.universe().resolve(class.name())? as usize;
                     scratch[i] = scratch[i].with_p_mf(*p_mf);
                 }
                 Change::SetReader {
@@ -709,7 +678,7 @@ impl CompiledModel {
                     p_hf_given_ms,
                     p_hf_given_mf,
                 } => {
-                    let i = self.universe.resolve(class.name())? as usize;
+                    let i = self.universe().resolve(class.name())? as usize;
                     scratch[i] = scratch[i].with_reader(*p_hf_given_ms, *p_hf_given_mf);
                 }
                 Change::ScaleReaderEverywhere { factor } => {
@@ -729,26 +698,20 @@ impl CompiledModel {
             }
         }
         // Indirect effects: the reader adapts to the machine change,
-        // referenced against the *baseline* machine parameters — the same
-        // pass `Scenario::apply` makes over the map in sorted order.
-        for (i, cp) in scratch.iter_mut().enumerate() {
-            *cp = scenario.adaptation().apply(self.params[i].p_mf(), cp)?;
+        // referenced against the *baseline* machine parameters.
+        for (cp, base) in scratch.iter_mut().zip(self.table.slots()) {
+            *cp = scenario.adaptation().apply(base.p_mf(), cp)?;
         }
         Ok(())
     }
 
     /// Replaces one class slot in place, returning the previous parameters
     /// (hand them back to [`CompiledModel::restore`] to undo). Keeps the
-    /// struct-of-arrays mirrors in sync.
+    /// class-failure column in sync.
     pub fn patch(&mut self, index: u32, params: ClassParams) -> ClassParams {
         let i = index as usize;
-        let old = self.params[i];
-        self.params[i] = params;
-        self.p_mf[i] = params.p_mf().value();
-        self.p_hf_given_ms[i] = params.p_hf_given_ms().value();
-        self.p_hf_given_mf[i] = params.p_hf_given_mf().value();
         self.class_failure[i] = params.class_failure().value();
-        old
+        std::mem::replace(&mut self.table.slots_mut()[i], params)
     }
 
     /// Undoes a [`CompiledModel::patch`] by re-patching the saved slot.
@@ -828,19 +791,6 @@ impl CompiledModel {
         hmdiv_obs::counter_add("core.compiled.lane_tail", tail.len() as u64);
         out
     }
-
-    /// Materialises the current slots back into a map-based table (e.g. to
-    /// hand a patched model to callers of the name-keyed API).
-    #[must_use]
-    pub fn to_model_params(&self) -> ModelParams {
-        let mut builder = ModelParams::builder();
-        for (class, cp) in self.universe.iter().zip(&self.params) {
-            builder = builder.class(class.clone(), *cp);
-        }
-        builder
-            .build()
-            .expect("a compiled model is non-empty with unique interned classes")
-    }
 }
 
 /// Reusable scratch for the lane-blocked scenario kernels.
@@ -860,77 +810,22 @@ struct LaneScratch {
 impl LaneScratch {
     fn for_model(model: &CompiledModel) -> Self {
         LaneScratch {
-            scratch: Vec::with_capacity(model.params.len()),
+            scratch: Vec::with_capacity(model.len()),
             overlay: Vec::new(),
-            cf_block: vec![0.0; model.params.len() * SCENARIO_LANES],
+            cf_block: vec![0.0; model.len() * SCENARIO_LANES],
         }
     }
 }
 
-/// Eq. (8) over arbitrary parameter slots — shared by the baseline and
-/// scratch (scenario-patched) paths. Same accumulation order and the same
-/// `ClassParams::class_failure` calls as the map-based reference.
+/// Eq. (8) over scenario-patched scratch slots: the same accumulation
+/// order and the same `ClassParams::class_failure` calls as
+/// [`CompiledModel::system_failure`] over the precomputed column.
 fn failure_over(params: &[ClassParams], profile: &CompiledProfile) -> Probability {
     let mut total = 0.0;
     for (idx, w) in profile.iter() {
         total += w * params[idx as usize].class_failure().value();
     }
     Probability::clamped(total)
-}
-
-/// The §3 parallel-detection model compiled to dense per-class storage.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompiledDetectionModel {
-    universe: Arc<ClassUniverse>,
-    params: Vec<DetectionParams>,
-}
-
-impl CompiledDetectionModel {
-    /// Compiles a parallel-detection table (see [`CompiledModel::compile`]).
-    #[must_use]
-    pub fn compile(model: &ParallelDetectionModel) -> Self {
-        let span = hmdiv_obs::span("core.compile");
-        let universe = Arc::new(ClassUniverse::from_names(
-            model.iter().map(|(c, _)| c.clone()),
-        ));
-        let params = model.iter().map(|(_, dp)| *dp).collect();
-        hmdiv_obs::counter_add("core.compile.classes", model.len() as u64);
-        drop(span);
-        CompiledDetectionModel { universe, params }
-    }
-
-    /// The interned class universe.
-    #[must_use]
-    pub fn universe(&self) -> &Arc<ClassUniverse> {
-        &self.universe
-    }
-
-    /// The parameters at a universe index.
-    #[must_use]
-    pub fn params_at(&self, index: u32) -> DetectionParams {
-        self.params[index as usize]
-    }
-
-    /// Binds a demand profile to this model's universe.
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::UnknownClass`] if the profile mentions a class the
-    /// model does not cover.
-    pub fn bind_profile(&self, profile: &DemandProfile) -> Result<CompiledProfile, ModelError> {
-        CompiledProfile::bind(&self.universe, profile)
-    }
-
-    /// Eq. (1) aggregated over a bound profile — same order and the same
-    /// `DetectionParams::class_failure` calls as the map-based path.
-    #[must_use]
-    pub fn system_failure(&self, profile: &CompiledProfile) -> Probability {
-        let mut total = 0.0;
-        for (idx, w) in profile.iter() {
-            total += w * self.params[idx as usize].class_failure().value();
-        }
-        Probability::clamped(total)
-    }
 }
 
 #[cfg(test)]
@@ -940,25 +835,16 @@ mod tests {
     use crate::ClassId;
 
     #[test]
-    fn compile_aligns_universe_and_slots() {
+    fn universe_slots_and_column_are_aligned() {
         let model = paper::example_model().unwrap();
-        let compiled = CompiledModel::compile(model.params());
+        let compiled = model.compiled();
         assert_eq!(compiled.len(), 2);
         for (i, class) in compiled.universe().iter().enumerate() {
             let cp = model.params().class(class).unwrap();
             assert_eq!(compiled.params_at(i as u32), *cp);
-            assert_eq!(compiled.p_mf_slice()[i], cp.p_mf().value());
             assert_eq!(
-                compiled.p_hf_given_ms_slice()[i],
-                cp.p_hf_given_ms().value()
-            );
-            assert_eq!(
-                compiled.p_hf_given_mf_slice()[i],
-                cp.p_hf_given_mf().value()
-            );
-            assert_eq!(
-                compiled.class_failure_slice()[i],
-                cp.class_failure().value()
+                compiled.class_failure_slice()[i].to_bits(),
+                cp.class_failure().value().to_bits()
             );
         }
     }
@@ -966,7 +852,7 @@ mod tests {
     #[test]
     fn system_failure_bit_identical_to_map_walk() {
         let model = paper::example_model().unwrap();
-        let compiled = CompiledModel::compile(model.params());
+        let compiled = model.compiled();
         for profile in [
             paper::trial_profile().unwrap(),
             paper::field_profile().unwrap(),
@@ -989,7 +875,7 @@ mod tests {
     #[test]
     fn bind_rejects_unknown_class() {
         let model = paper::example_model().unwrap();
-        let compiled = CompiledModel::compile(model.params());
+        let compiled = model.compiled();
         let odd = DemandProfile::builder().class("odd", 1.0).build().unwrap();
         assert!(matches!(
             compiled.bind_profile(&odd),
@@ -1000,7 +886,7 @@ mod tests {
     #[test]
     fn patch_restore_round_trips() {
         let model = paper::example_model().unwrap();
-        let mut compiled = CompiledModel::compile(model.params());
+        let mut compiled = CompiledModel::clone(model.compiled());
         let pristine = compiled.clone();
         let field = paper::field_profile().unwrap();
         let bound = compiled.bind_profile(&field).unwrap();
@@ -1031,9 +917,9 @@ mod tests {
     }
 
     #[test]
-    fn scenario_batch_matches_map_based_apply() {
+    fn scenario_batch_matches_scenario_apply() {
         let model = paper::example_model().unwrap();
-        let compiled = CompiledModel::compile(model.params());
+        let compiled = model.compiled();
         let field = paper::field_profile().unwrap();
         let bound = compiled.bind_profile(&field).unwrap();
         let scenarios = vec![
@@ -1057,7 +943,7 @@ mod tests {
     #[test]
     fn scenario_unknown_class_is_typed() {
         let model = paper::example_model().unwrap();
-        let compiled = CompiledModel::compile(model.params());
+        let compiled = model.compiled();
         let field = paper::field_profile().unwrap();
         let bound = compiled.bind_profile(&field).unwrap();
         let ghost = vec![Scenario::new().improve_machine(ClassId::new("ghost"), 10.0)];
@@ -1070,7 +956,7 @@ mod tests {
     #[test]
     fn evaluate_profiles_batches() {
         let model = paper::example_model().unwrap();
-        let compiled = CompiledModel::compile(model.params());
+        let compiled = model.compiled();
         let bound: Vec<CompiledProfile> = [
             paper::trial_profile().unwrap(),
             paper::field_profile().unwrap(),
@@ -1086,7 +972,7 @@ mod tests {
     #[test]
     fn par_batches_bit_identical_at_any_thread_count() {
         let model = paper::example_model().unwrap();
-        let compiled = CompiledModel::compile(model.params());
+        let compiled = model.compiled();
         let bound: Vec<CompiledProfile> = [
             paper::trial_profile().unwrap(),
             paper::field_profile().unwrap(),
@@ -1130,7 +1016,7 @@ mod tests {
     #[test]
     fn par_scenarios_report_lowest_indexed_error() {
         let model = paper::example_model().unwrap();
-        let compiled = CompiledModel::compile(model.params());
+        let compiled = model.compiled();
         let field = paper::field_profile().unwrap();
         let bound = compiled.bind_profile(&field).unwrap();
         let mut scenarios: Vec<Scenario> = (0..10)
@@ -1150,17 +1036,10 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_to_model_params() {
-        let model = paper::example_model().unwrap();
-        let compiled = CompiledModel::compile(model.params());
-        assert_eq!(&compiled.to_model_params(), model.params());
-    }
-
-    #[test]
     fn profile_subset_of_universe_is_fine() {
         // The profile may use fewer classes than the model knows.
         let model = paper::example_model().unwrap();
-        let compiled = CompiledModel::compile(model.params());
+        let compiled = model.compiled();
         let only_easy = DemandProfile::builder().class("easy", 1.0).build().unwrap();
         let bound = compiled.bind_profile(&only_easy).unwrap();
         assert_eq!(bound.len(), 1);

@@ -13,7 +13,11 @@
 //! 0.9·0.04·0.07 ≈ 0.0025 under the field profile) buys far less than the
 //! same improvement on the rare difficult ones (0.1·0.5·0.41 ≈ 0.021).
 
-use crate::compiled::CompiledModel;
+use std::collections::BTreeMap;
+
+use hmdiv_prob::Probability;
+
+use crate::compiled::{CompiledModel, CompiledProfile};
 use crate::extrapolate::Scenario;
 use crate::{ClassId, ClassParams, DemandProfile, ModelError, SequentialModel};
 
@@ -129,7 +133,8 @@ pub struct BudgetAllocation {
     pub model: SequentialModel,
 }
 
-/// See [`BudgetAllocation`].
+/// See [`BudgetAllocation`]. This is the reference allocator: every round
+/// evaluates one candidate per profile class.
 ///
 /// # Errors
 ///
@@ -141,62 +146,111 @@ pub fn allocate_improvement_budget(
     budget: usize,
     step_factor: f64,
 ) -> Result<BudgetAllocation, ModelError> {
-    if step_factor.is_nan() || step_factor <= 1.0 || step_factor.is_infinite() {
-        return Err(ModelError::InvalidFactor {
-            value: step_factor,
-            context: "step factor",
-        });
-    }
-    if budget == 0 {
-        return Err(ModelError::InvalidFactor {
-            value: 0.0,
-            context: "improvement budget",
-        });
-    }
-    // Compile once; candidates are evaluated by patching one class slot
-    // instead of cloning a map-based model per candidate per unit.
-    let bound = model.compiled().bind_profile(profile)?;
-    let mut compiled = CompiledModel::clone(model.compiled());
-    let before = compiled.system_failure(&bound).value();
-    let mut spent: std::collections::BTreeMap<ClassId, usize> = Default::default();
-    let mut candidates: Vec<(u32, ClassParams)> = Vec::with_capacity(bound.len());
+    let mut greedy = Greedy::start(model, profile, budget, step_factor)?;
+    let mut candidates: Vec<(u32, ClassParams)> = Vec::with_capacity(greedy.bound.len());
     for _ in 0..budget {
-        let baseline = compiled.system_failure(&bound).value();
         // One candidate slot-patch per profile class, evaluated through the
-        // lane-blocked batch kernel (bit-identical to the per-candidate
-        // `system_failure_patched` loop it replaces).
+        // lane-blocked batch kernel.
         candidates.clear();
-        for (idx, _) in bound.iter() {
+        for (idx, _) in greedy.bound.iter() {
             candidates.push((
                 idx,
-                compiled.params_at(idx).with_machine_improved(step_factor)?,
+                greedy
+                    .compiled
+                    .params_at(idx)
+                    .with_machine_improved(step_factor)?,
             ));
         }
-        let patched = compiled.system_failure_patched_batch(&bound, &candidates);
-        let mut best: Option<(u32, f64)> = None;
-        for ((idx, _), failure) in candidates.iter().zip(&patched) {
+        let patched = greedy
+            .compiled
+            .system_failure_patched_batch(&greedy.bound, &candidates);
+        greedy.spend_on_first_best(&candidates, &patched)?;
+    }
+    Ok(greedy.finish())
+}
+
+/// The state both allocators share: a private copy of the model's dense
+/// table that absorbs one unit per round, the bound profile, and the
+/// units spent so far.
+struct Greedy {
+    compiled: CompiledModel,
+    bound: CompiledProfile,
+    before: f64,
+    spent: BTreeMap<ClassId, usize>,
+}
+
+impl Greedy {
+    /// Validates the arguments and copies the model's table (candidates
+    /// are evaluated by patching one class slot, never by cloning a model
+    /// per candidate).
+    fn start(
+        model: &SequentialModel,
+        profile: &DemandProfile,
+        budget: usize,
+        step_factor: f64,
+    ) -> Result<Self, ModelError> {
+        if step_factor.is_nan() || step_factor <= 1.0 || step_factor.is_infinite() {
+            return Err(ModelError::InvalidFactor {
+                value: step_factor,
+                context: "step factor",
+            });
+        }
+        if budget == 0 {
+            return Err(ModelError::InvalidFactor {
+                value: 0.0,
+                context: "improvement budget",
+            });
+        }
+        let bound = model.compiled().bind_profile(profile)?;
+        let compiled = CompiledModel::clone(model.compiled());
+        let before = compiled.system_failure(&bound).value();
+        Ok(Greedy {
+            compiled,
+            bound,
+            before,
+            spent: BTreeMap::new(),
+        })
+    }
+
+    /// Spends one unit on the first candidate with the largest benefit
+    /// (`baseline − patched`; ties keep the earlier candidate), patching
+    /// its slot and counting the unit.
+    fn spend_on_first_best(
+        &mut self,
+        candidates: &[(u32, ClassParams)],
+        patched: &[Probability],
+    ) -> Result<(), ModelError> {
+        let baseline = self.compiled.system_failure(&self.bound).value();
+        let mut best: Option<(u32, ClassParams, f64)> = None;
+        for ((idx, cp), failure) in candidates.iter().zip(patched) {
             let benefit = baseline - failure.value();
             match &best {
-                Some((_, b)) if *b >= benefit => {}
-                _ => best = Some((*idx, benefit)),
+                Some((_, _, b)) if *b >= benefit => {}
+                _ => best = Some((*idx, *cp, benefit)),
             }
         }
-        let (idx, _) = best.ok_or(ModelError::Empty {
+        let (idx, improved, _) = best.ok_or(ModelError::Empty {
             context: "demand profile",
         })?;
-        let improved = compiled.params_at(idx).with_machine_improved(step_factor)?;
-        compiled.patch(idx, improved);
-        *spent
-            .entry(compiled.universe().class(idx).clone())
+        self.compiled.patch(idx, improved);
+        *self
+            .spent
+            .entry(self.compiled.universe().class(idx).clone())
             .or_insert(0) += 1;
+        Ok(())
     }
-    let after = compiled.system_failure(&bound).value();
-    Ok(BudgetAllocation {
-        allocation: spent.into_iter().collect(),
-        before,
-        after,
-        model: SequentialModel::new(compiled.to_model_params()),
-    })
+
+    /// The allocation, with the patched table as the improved model (it
+    /// shares the input model's class universe).
+    fn finish(self) -> BudgetAllocation {
+        let after = self.compiled.system_failure(&self.bound).value();
+        BudgetAllocation {
+            allocation: self.spent.into_iter().collect(),
+            before: self.before,
+            after,
+            model: SequentialModel::from(self.compiled),
+        }
+    }
 }
 
 /// Evaluation counts from one run of
@@ -231,8 +285,9 @@ fn prune_slop(classes: usize) -> f64 {
 /// Each greedy round first bounds every candidate's benefit with the
 /// closed-form derivative certificate (the same eq.-(8) sensitivity
 /// `hmdiv-analyze` certifies: benefit `= p(x)·t(x)·PMf(x)·(1−1/s)`,
-/// bracketed by [`prune_slop`]); candidates whose upper bound cannot
-/// reach the best lower bound are discarded *without* evaluation. Every
+/// bracketed by a slop of `1e-12 + 1e-15·n` for `n` classes);
+/// candidates whose upper bound cannot reach the best lower bound are
+/// discarded *without* evaluation. Every
 /// possible argmax survives — the bound brackets the exact benefit — and
 /// survivors keep their original order, so running the unpruned
 /// selection rule over them picks the **bit-identical** winner; only the
@@ -253,35 +308,19 @@ pub fn allocate_improvement_budget_pruned(
     step_factor: f64,
     threads: usize,
 ) -> Result<(BudgetAllocation, PruneStats), ModelError> {
-    if step_factor.is_nan() || step_factor <= 1.0 || step_factor.is_infinite() {
-        return Err(ModelError::InvalidFactor {
-            value: step_factor,
-            context: "step factor",
-        });
-    }
-    if budget == 0 {
-        return Err(ModelError::InvalidFactor {
-            value: 0.0,
-            context: "improvement budget",
-        });
-    }
+    let mut greedy = Greedy::start(model, profile, budget, step_factor)?;
     let threads = threads.max(1);
-    let bound = model.compiled().bind_profile(profile)?;
-    let mut compiled = CompiledModel::clone(model.compiled());
-    let before = compiled.system_failure(&bound).value();
-    let slop = prune_slop(compiled.len());
+    let slop = prune_slop(greedy.compiled.len());
     let mut stats = PruneStats::default();
-    let mut spent: std::collections::BTreeMap<ClassId, usize> = Default::default();
-    let mut survivors: Vec<(u32, ClassParams)> = Vec::with_capacity(bound.len());
+    let mut survivors: Vec<(u32, ClassParams)> = Vec::with_capacity(greedy.bound.len());
+    let mut bounds: Vec<(u32, f64)> = Vec::with_capacity(greedy.bound.len());
     for _ in 0..budget {
         stats.rounds += 1;
-        let baseline = compiled.system_failure(&bound).value();
         // Static stage: closed-form benefit brackets, best lower bound.
-        survivors.clear();
+        bounds.clear();
         let mut frontier = f64::NEG_INFINITY;
-        let mut bounds: Vec<(u32, f64)> = Vec::with_capacity(bound.len());
-        for (idx, weight) in bound.iter() {
-            let cp = compiled.params_at(idx);
+        for (idx, weight) in greedy.bound.iter() {
+            let cp = greedy.compiled.params_at(idx);
             let benefit =
                 weight * cp.coherence_index() * cp.p_mf().value() * (1.0 - 1.0 / step_factor);
             frontier = frontier.max(benefit - slop);
@@ -289,47 +328,27 @@ pub fn allocate_improvement_budget_pruned(
         }
         stats.candidates += bounds.len();
         // Survivors in original (bound-iteration) order: everything whose
-        // certified best case reaches the frontier.
-        for (idx, benefit) in bounds {
+        // certified best case reaches the frontier. The first maximizer of
+        // the full list survives and stays first, so the shared selection
+        // rule picks the same winner as the unpruned allocator.
+        survivors.clear();
+        for &(idx, benefit) in &bounds {
             if benefit + slop >= frontier {
                 survivors.push((
                     idx,
-                    compiled.params_at(idx).with_machine_improved(step_factor)?,
+                    greedy
+                        .compiled
+                        .params_at(idx)
+                        .with_machine_improved(step_factor)?,
                 ));
             }
         }
         stats.evaluated += survivors.len();
-        let patched = evaluate_chunked(&compiled, &bound, &survivors, threads);
-        // The unpruned selection rule over the surviving subsequence: the
-        // first maximizer of the full list survives and stays first.
-        let mut best: Option<(u32, f64)> = None;
-        for ((idx, _), failure) in survivors.iter().zip(&patched) {
-            let benefit = baseline - failure.value();
-            match &best {
-                Some((_, b)) if *b >= benefit => {}
-                _ => best = Some((*idx, benefit)),
-            }
-        }
-        let (idx, _) = best.ok_or(ModelError::Empty {
-            context: "demand profile",
-        })?;
-        let improved = compiled.params_at(idx).with_machine_improved(step_factor)?;
-        compiled.patch(idx, improved);
-        *spent
-            .entry(compiled.universe().class(idx).clone())
-            .or_insert(0) += 1;
+        let patched = evaluate_chunked(&greedy.compiled, &greedy.bound, &survivors, threads);
+        greedy.spend_on_first_best(&survivors, &patched)?;
     }
     stats.pruned = stats.candidates - stats.evaluated;
-    let after = compiled.system_failure(&bound).value();
-    Ok((
-        BudgetAllocation {
-            allocation: spent.into_iter().collect(),
-            before,
-            after,
-            model: SequentialModel::new(compiled.to_model_params()),
-        },
-        stats,
-    ))
+    Ok((greedy.finish(), stats))
 }
 
 /// Evaluates candidate patches through the lane-blocked batch kernel, one
@@ -338,10 +357,10 @@ pub fn allocate_improvement_budget_pruned(
 /// in-order concatenation is bit-identical to a single-threaded call.
 fn evaluate_chunked(
     compiled: &CompiledModel,
-    bound: &crate::compiled::CompiledProfile,
+    bound: &CompiledProfile,
     candidates: &[(u32, ClassParams)],
     threads: usize,
-) -> Vec<hmdiv_prob::Probability> {
+) -> Vec<Probability> {
     if threads <= 1 || candidates.len() < 2 {
         return compiled.system_failure_patched_batch(bound, candidates);
     }
@@ -352,7 +371,7 @@ fn evaluate_chunked(
         candidates.len().div_ceil(chunk) as u64,
         threads,
         Vec::new,
-        |id, _rng, acc: &mut Vec<hmdiv_prob::Probability>| {
+        |id, _rng, acc: &mut Vec<Probability>| {
             let start = id as usize * chunk;
             let part = &candidates[start..candidates.len().min(start + chunk)];
             acc.extend(compiled.system_failure_patched_batch(bound, part));
@@ -432,6 +451,22 @@ mod tests {
         assert!(alloc.after < alloc.before);
         let total: usize = alloc.allocation.iter().map(|(_, u)| u).sum();
         assert_eq!(total, 3);
+    }
+
+    #[test]
+    fn allocated_model_shares_the_base_universe() {
+        let model = paper::example_model().unwrap();
+        let field = paper::field_profile().unwrap();
+        let alloc = allocate_improvement_budget(&model, &field, 3, 2.0).unwrap();
+        assert!(std::sync::Arc::ptr_eq(
+            alloc.model.compiled().universe(),
+            model.compiled().universe()
+        ));
+        let (pruned, _) = allocate_improvement_budget_pruned(&model, &field, 3, 2.0, 2).unwrap();
+        assert!(std::sync::Arc::ptr_eq(
+            pruned.model.compiled().universe(),
+            model.compiled().universe()
+        ));
     }
 
     #[test]

@@ -16,11 +16,12 @@
 //! failure probabilities.
 
 use std::fmt;
+use std::sync::Arc;
 
 use hmdiv_prob::Probability;
 
 use crate::adaptation::AdaptationResponse;
-use crate::{ClassId, DemandProfile, ModelError, SequentialModel};
+use crate::{ClassId, DemandProfile, ModelError, ModelParams, SequentialModel};
 
 /// One change to apply to a model.
 #[derive(Debug, Clone, PartialEq)]
@@ -166,53 +167,23 @@ impl Scenario {
 
     /// Applies the scenario to a model, producing the predicted model.
     ///
+    /// The changes run through
+    /// [`CompiledModel::apply_scenario_into`](crate::CompiledModel::apply_scenario_into) on
+    /// the base model's slots, so the predicted model shares the base
+    /// model's class universe.
+    ///
     /// # Errors
     ///
-    /// * [`ModelError::MissingClass`] if a change targets an absent class.
+    /// * [`ModelError::UnknownClass`] if a change targets an absent class.
     /// * [`ModelError::InvalidFactor`] for invalid factors/strengths.
     pub fn apply(&self, base: &SequentialModel) -> Result<SequentialModel, ModelError> {
-        self.adaptation.validate()?;
-        let mut params = base.params().clone();
-        for change in &self.changes {
-            params = match change {
-                Change::ImproveMachine { class, factor } => {
-                    params.with_class_updated(class, |cp| cp.with_machine_improved(*factor))?
-                }
-                Change::ImproveMachineEverywhere { factor } => {
-                    params.map_classes(|_, cp| cp.with_machine_improved(*factor))?
-                }
-                Change::SetMachineFailure { class, p_mf } => {
-                    params.with_class_updated(class, |cp| Ok(cp.with_p_mf(*p_mf)))?
-                }
-                Change::SetReader {
-                    class,
-                    p_hf_given_ms,
-                    p_hf_given_mf,
-                } => params.with_class_updated(class, |cp| {
-                    Ok(cp.with_reader(*p_hf_given_ms, *p_hf_given_mf))
-                })?,
-                Change::ScaleReaderEverywhere { factor } => {
-                    if factor.is_nan() || *factor < 0.0 || factor.is_infinite() {
-                        return Err(ModelError::InvalidFactor {
-                            value: *factor,
-                            context: "reader scale factor",
-                        });
-                    }
-                    params.map_classes(|_, cp| {
-                        Ok(cp.with_reader(
-                            Probability::clamped(cp.p_hf_given_ms().value() * factor),
-                            Probability::clamped(cp.p_hf_given_mf().value() * factor),
-                        ))
-                    })?
-                }
-            };
-        }
-        // Indirect effects: the reader adapts to the machine change.
-        let adapted = params.map_classes(|class, cp| {
-            let old = base.params().class(class)?;
-            self.adaptation.apply(old.p_mf(), cp)
-        })?;
-        Ok(SequentialModel::new(adapted))
+        let compiled = base.compiled();
+        let mut slots = Vec::with_capacity(compiled.len());
+        compiled.apply_scenario_into(self, &mut slots)?;
+        Ok(SequentialModel::new(ModelParams::from_slots(
+            Arc::clone(compiled.universe()),
+            slots,
+        )))
     }
 
     /// Applies the scenario and evaluates before/after failure probabilities
@@ -369,7 +340,20 @@ mod tests {
         let scenario = Scenario::new().improve_machine(ClassId::new("ghost"), 10.0);
         assert!(matches!(
             scenario.apply(&base),
-            Err(ModelError::MissingClass { .. })
+            Err(ModelError::UnknownClass { class }) if class.name() == "ghost"
+        ));
+    }
+
+    #[test]
+    fn applied_model_shares_the_base_universe() {
+        let base = paper::example_model().unwrap();
+        let model = Scenario::new()
+            .improve_machine(ClassId::new("difficult"), 10.0)
+            .apply(&base)
+            .unwrap();
+        assert!(Arc::ptr_eq(
+            model.compiled().universe(),
+            base.compiled().universe()
         ));
     }
 

@@ -146,7 +146,7 @@ pub fn system_lower_bound(
     let bound = compiled.bind_profile(profile)?;
     let mut total = 0.0;
     for (idx, w) in bound.iter() {
-        total += w * compiled.p_hf_given_ms_slice()[idx as usize];
+        total += w * compiled.params_at(idx).p_hf_given_ms().value();
     }
     Ok(Probability::clamped(total))
 }

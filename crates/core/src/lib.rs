@@ -40,10 +40,12 @@
 //! * [`uncertainty`] — Monte-Carlo propagation of parameter uncertainty
 //!   into system predictions.
 //! * [`paper`] — the paper's §5 worked example as ready-made constants.
-//! * [`compiled`] — the interned [`ClassUniverse`] and dense
-//!   struct-of-arrays [`CompiledModel`] every hot path evaluates through
-//!   (batch scenario sweeps, patch/restore candidate evaluation),
-//!   bit-identical to the map-based reference.
+//! * [`compiled`] — the dense model representation: a [`ModelParams`]
+//!   table stores one slot per index of an interned [`ClassUniverse`],
+//!   and the [`CompiledModel`] wrapping it (with its class-failure
+//!   column) is what every hot path evaluates through — batch scenario
+//!   sweeps, the one scenario applier, patch/restore candidate
+//!   evaluation — bit-identical to a by-name map walk.
 //!
 //! # Example
 //!
@@ -88,7 +90,7 @@ pub mod tradeoff;
 pub mod uncertainty;
 
 pub use class::{ClassId, ClassUniverse, UniverseManifest};
-pub use compiled::{CompiledDetectionModel, CompiledModel, CompiledProfile};
+pub use compiled::{CompiledModel, CompiledProfile};
 pub use error::ModelError;
 pub use parallel::{DetectionParams, ParallelDetectionModel};
 pub use params::{ClassParams, ModelParams};

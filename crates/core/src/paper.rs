@@ -18,6 +18,7 @@
 
 use hmdiv_prob::Probability;
 
+use crate::extrapolate::Scenario;
 use crate::{ClassId, ClassParams, DemandProfile, ModelError, ModelParams, SequentialModel};
 
 /// Name of the "easy" class.
@@ -99,11 +100,9 @@ pub fn field_profile() -> Result<DemandProfile, ModelError> {
 ///
 /// Never fails in practice; returns `Result` for uniformity.
 pub fn model_improved_on_easy() -> Result<SequentialModel, ModelError> {
-    let base = example_model()?;
-    let params = base
-        .params()
-        .with_class_updated(&ClassId::new(EASY), |cp| cp.with_machine_improved(10.0))?;
-    Ok(SequentialModel::new(params))
+    Scenario::new()
+        .improve_machine(ClassId::new(EASY), 10.0)
+        .apply(&example_model()?)
 }
 
 /// The model with the CADT improved by a factor of 10 on the difficult
@@ -113,13 +112,9 @@ pub fn model_improved_on_easy() -> Result<SequentialModel, ModelError> {
 ///
 /// Never fails in practice; returns `Result` for uniformity.
 pub fn model_improved_on_difficult() -> Result<SequentialModel, ModelError> {
-    let base = example_model()?;
-    let params = base
-        .params()
-        .with_class_updated(&ClassId::new(DIFFICULT), |cp| {
-            cp.with_machine_improved(10.0)
-        })?;
-    Ok(SequentialModel::new(params))
+    Scenario::new()
+        .improve_machine(ClassId::new(DIFFICULT), 10.0)
+        .apply(&example_model()?)
 }
 
 /// The published values, exact where the arithmetic is exact and as printed

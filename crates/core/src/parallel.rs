@@ -1,14 +1,13 @@
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use hmdiv_prob::moments::weighted_covariance;
 use hmdiv_prob::Probability;
 use hmdiv_rbd::difficulty::littlewood_miller;
 use hmdiv_rbd::Block;
 
-use crate::compiled::CompiledDetectionModel;
-use crate::{ClassId, DemandProfile, ModelError};
+use crate::{ClassId, ClassUniverse, CompiledProfile, DemandProfile, ModelError};
 
 /// The paper's §3 "parallel detection" parameters for one class of demands:
 ///
@@ -99,6 +98,9 @@ pub struct DetectionCovariance {
 /// The paper's §3 "parallel detection" model (Fig. 2) over classes of
 /// demands.
 ///
+/// Stored densely, like [`crate::ModelParams`]: one [`DetectionParams`]
+/// slot per index of a sorted [`ClassUniverse`].
+///
 /// # Example
 ///
 /// ```
@@ -122,18 +124,11 @@ pub struct DetectionCovariance {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParallelDetectionModel {
-    table: BTreeMap<ClassId, DetectionParams>,
-    /// Lazily-compiled dense evaluation form (derived state; see
-    /// [`crate::compiled`]).
-    compiled: OnceLock<Arc<CompiledDetectionModel>>,
-}
-
-impl PartialEq for ParallelDetectionModel {
-    fn eq(&self, other: &Self) -> bool {
-        self.table == other.table
-    }
+    universe: Arc<ClassUniverse>,
+    /// `slots[i]` belongs to `universe.class(i)`.
+    slots: Vec<DetectionParams>,
 }
 
 impl ParallelDetectionModel {
@@ -152,8 +147,9 @@ impl ParallelDetectionModel {
     ///
     /// [`ModelError::MissingClass`] if the class is absent.
     pub fn class(&self, class: &ClassId) -> Result<&DetectionParams, ModelError> {
-        self.table
-            .get(class)
+        self.universe
+            .index_of(class.name())
+            .map(|i| &self.slots[i as usize])
             .ok_or_else(|| ModelError::MissingClass {
                 class: class.clone(),
             })
@@ -162,18 +158,40 @@ impl ParallelDetectionModel {
     /// Number of classes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.table.len()
+        self.slots.len()
     }
 
     /// Whether the table is empty (never true for a built model).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
+        self.slots.is_empty()
     }
 
-    /// Iterates `(class, params)` pairs.
+    /// Iterates `(class, params)` pairs in class order.
     pub fn iter(&self) -> impl Iterator<Item = (&ClassId, &DetectionParams)> {
-        self.table.iter()
+        self.universe.iter().zip(&self.slots)
+    }
+
+    /// The interned class universe.
+    #[must_use]
+    pub fn universe(&self) -> &Arc<ClassUniverse> {
+        &self.universe
+    }
+
+    /// The parameters at a universe index.
+    #[must_use]
+    pub fn params_at(&self, index: u32) -> DetectionParams {
+        self.slots[index as usize]
+    }
+
+    /// Binds a demand profile to this model's universe.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::UnknownClass`] if the profile mentions a class the
+    /// model does not cover.
+    pub fn bind_profile(&self, profile: &DemandProfile) -> Result<CompiledProfile, ModelError> {
+        CompiledProfile::bind(&self.universe, profile)
     }
 
     /// The class-conditional system failure probability (eq. 1).
@@ -185,23 +203,19 @@ impl ParallelDetectionModel {
         Ok(self.class(class)?.class_failure())
     }
 
-    /// The dense compiled form of this model, compiled on first use and
-    /// cached.
-    #[must_use]
-    pub fn compiled(&self) -> &Arc<CompiledDetectionModel> {
-        self.compiled
-            .get_or_init(|| Arc::new(CompiledDetectionModel::compile(self)))
-    }
-
-    /// The system failure probability over a demand profile, evaluated
-    /// through the compiled form.
+    /// The system failure probability over a demand profile: eq. (1) per
+    /// class, weighted in profile insertion order.
     ///
     /// # Errors
     ///
     /// [`ModelError::UnknownClass`] if the profile mentions an absent class.
     pub fn system_failure(&self, profile: &DemandProfile) -> Result<Probability, ModelError> {
-        let compiled = self.compiled();
-        Ok(compiled.system_failure(&compiled.bind_profile(profile)?))
+        let bound = self.bind_profile(profile)?;
+        let mut total = 0.0;
+        for (idx, w) in bound.iter() {
+            total += w * self.slots[idx as usize].class_failure().value();
+        }
+        Ok(Probability::clamped(total))
     }
 
     /// Decomposes the detection-failure probability into independent product
@@ -214,24 +228,19 @@ impl ParallelDetectionModel {
         &self,
         profile: &DemandProfile,
     ) -> Result<DetectionCovariance, ModelError> {
-        // Check coverage first so the closure below cannot miss.
+        // Check coverage first so the closures below cannot miss.
         for (class, _) in profile.iter() {
             self.class(class)?;
         }
-        let report = littlewood_miller(
-            profile.as_categorical(),
-            |c| self.table[c].p_mf,
-            |c| self.table[c].p_h_miss,
-        );
+        let at = |c: &ClassId| self.class(c).expect("profile coverage checked above");
+        let report =
+            littlewood_miller(profile.as_categorical(), |c| at(c).p_mf, |c| at(c).p_h_miss);
         // Cross-check the covariance with the direct weighted computation.
         let weights: Vec<f64> = profile.iter().map(|(_, w)| w.value()).collect();
-        let a: Vec<f64> = profile
-            .iter()
-            .map(|(c, _)| self.table[c].p_mf.value())
-            .collect();
+        let a: Vec<f64> = profile.iter().map(|(c, _)| at(c).p_mf.value()).collect();
         let b: Vec<f64> = profile
             .iter()
-            .map(|(c, _)| self.table[c].p_h_miss.value())
+            .map(|(c, _)| at(c).p_h_miss.value())
             .collect();
         let cov = weighted_covariance(&weights, &a, &b).map_err(ModelError::from)?;
         debug_assert!((cov - report.covariance).abs() < 1e-12);
@@ -264,12 +273,8 @@ impl ParallelDetectionModel {
 
 impl fmt::Display for ParallelDetectionModel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "parallel-detection model over {} classes:",
-            self.table.len()
-        )?;
-        for (class, params) in &self.table {
+        writeln!(f, "parallel-detection model over {} classes:", self.len())?;
+        for (class, params) in self.iter() {
             writeln!(
                 f,
                 "  {class}: {params} -> P(fail)(x)={:.4}",
@@ -298,7 +303,8 @@ impl ParallelDetectionModelBuilder {
         self
     }
 
-    /// Builds the model.
+    /// Builds the model: interns the class names and lays the parameters
+    /// out in universe (sorted-name) order.
     ///
     /// # Errors
     ///
@@ -313,9 +319,10 @@ impl ParallelDetectionModelBuilder {
                 context: "parallel-detection parameter table",
             });
         }
+        let universe = Arc::new(ClassUniverse::from_names(self.table.keys().cloned()));
         Ok(ParallelDetectionModel {
-            table: self.table,
-            compiled: OnceLock::new(),
+            universe,
+            slots: self.table.into_values().collect(),
         })
     }
 }
@@ -411,7 +418,7 @@ mod tests {
     fn missing_class_errors() {
         let m = model();
         let profile = DemandProfile::builder().class("odd", 1.0).build().unwrap();
-        // Compiled-layer resolution reports the unified UnknownClass…
+        // Profile binding reports the unified UnknownClass…
         assert!(matches!(
             m.system_failure(&profile),
             Err(ModelError::UnknownClass { .. })

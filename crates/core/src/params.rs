@@ -1,9 +1,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use hmdiv_prob::Probability;
 
-use crate::{ClassId, ModelError};
+use crate::{ClassId, ClassUniverse, ModelError};
 
 /// The sequential model's parameters for one class of demands (paper §4):
 ///
@@ -157,6 +158,12 @@ impl fmt::Display for ClassParams {
 /// A table of [`ClassParams`] per demand class — everything the sequential
 /// model knows about the human–machine pair.
 ///
+/// Stored densely: the class names are interned once into a sorted
+/// [`ClassUniverse`] and the parameters sit in a `Vec` in universe order,
+/// so `slots[i]` belongs to `universe.class(i)`. This is the only copy of
+/// a model's per-class parameters; [`crate::CompiledModel`] and
+/// [`crate::SequentialModel`] wrap it rather than mirror it.
+///
 /// # Example
 ///
 /// ```
@@ -175,7 +182,9 @@ impl fmt::Display for ClassParams {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelParams {
-    table: BTreeMap<ClassId, ClassParams>,
+    universe: Arc<ClassUniverse>,
+    /// `slots[i]` belongs to `universe.class(i)`; the lengths always agree.
+    slots: Vec<ClassParams>,
 }
 
 impl ModelParams {
@@ -188,16 +197,38 @@ impl ModelParams {
         }
     }
 
+    /// A table over an existing universe, one slot per class in universe
+    /// order (shares the universe instead of re-interning it).
+    pub(crate) fn from_slots(universe: Arc<ClassUniverse>, slots: Vec<ClassParams>) -> Self {
+        debug_assert_eq!(universe.len(), slots.len());
+        ModelParams { universe, slots }
+    }
+
+    /// The interned class universe the slots are laid out over.
+    pub(crate) fn universe(&self) -> &Arc<ClassUniverse> {
+        &self.universe
+    }
+
+    /// The parameter slots in universe order.
+    pub(crate) fn slots(&self) -> &[ClassParams] {
+        &self.slots
+    }
+
+    /// The parameter slots, mutable in place (never resized).
+    pub(crate) fn slots_mut(&mut self) -> &mut [ClassParams] {
+        &mut self.slots
+    }
+
     /// Number of classes with parameters.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.table.len()
+        self.slots.len()
     }
 
     /// Whether the table is empty (never true for a built table).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
+        self.slots.is_empty()
     }
 
     /// The parameters for a class.
@@ -206,11 +237,7 @@ impl ModelParams {
     ///
     /// Returns [`ModelError::MissingClass`] if the class is absent.
     pub fn class(&self, class: &ClassId) -> Result<&ClassParams, ModelError> {
-        self.table
-            .get(class)
-            .ok_or_else(|| ModelError::MissingClass {
-                class: class.clone(),
-            })
+        self.class_by_name(class.name())
     }
 
     /// The parameters for a class by name.
@@ -219,8 +246,9 @@ impl ModelParams {
     ///
     /// Returns [`ModelError::MissingClass`] if the class is absent.
     pub fn class_by_name(&self, name: &str) -> Result<&ClassParams, ModelError> {
-        self.table
-            .get(name)
+        self.universe
+            .index_of(name)
+            .map(|i| &self.slots[i as usize])
             .ok_or_else(|| ModelError::MissingClass {
                 class: ClassId::new(name),
             })
@@ -228,32 +256,16 @@ impl ModelParams {
 
     /// Iterates `(class, params)` pairs in class order.
     pub fn iter(&self) -> impl Iterator<Item = (&ClassId, &ClassParams)> {
-        self.table.iter()
+        self.universe.iter().zip(&self.slots)
     }
 
     /// The classes in the table, in order.
     pub fn classes(&self) -> impl Iterator<Item = &ClassId> {
-        self.table.keys()
+        self.universe.iter()
     }
 
-    /// Returns a copy with one class's parameters transformed.
-    ///
-    /// # Errors
-    ///
-    /// * [`ModelError::MissingClass`] if the class is absent.
-    /// * Any error returned by `update`.
-    pub fn with_class_updated(
-        &self,
-        class: &ClassId,
-        update: impl FnOnce(&ClassParams) -> Result<ClassParams, ModelError>,
-    ) -> Result<Self, ModelError> {
-        let current = *self.class(class)?;
-        let mut table = self.table.clone();
-        table.insert(class.clone(), update(&current)?);
-        Ok(ModelParams { table })
-    }
-
-    /// Returns a copy with every class's parameters transformed.
+    /// Returns a copy with every class's parameters transformed (same
+    /// universe, slot for slot).
     ///
     /// # Errors
     ///
@@ -262,11 +274,11 @@ impl ModelParams {
         &self,
         mut update: impl FnMut(&ClassId, &ClassParams) -> Result<ClassParams, ModelError>,
     ) -> Result<Self, ModelError> {
-        let mut table = BTreeMap::new();
-        for (class, params) in &self.table {
-            table.insert(class.clone(), update(class, params)?);
-        }
-        Ok(ModelParams { table })
+        let slots = self
+            .iter()
+            .map(|(class, params)| update(class, params))
+            .collect::<Result<_, _>>()?;
+        Ok(ModelParams::from_slots(Arc::clone(&self.universe), slots))
     }
 }
 
@@ -288,7 +300,8 @@ impl ModelParamsBuilder {
         self
     }
 
-    /// Builds the table.
+    /// Builds the table: interns the class names and lays the parameters
+    /// out in universe (sorted-name) order.
     ///
     /// # Errors
     ///
@@ -303,7 +316,13 @@ impl ModelParamsBuilder {
                 context: "model parameter table",
             });
         }
-        Ok(ModelParams { table: self.table })
+        // The map iterates in sorted order, which is the universe's index
+        // order, so the slots line up with the interned names.
+        let universe = Arc::new(ClassUniverse::from_names(self.table.keys().cloned()));
+        Ok(ModelParams::from_slots(
+            universe,
+            self.table.into_values().collect(),
+        ))
     }
 }
 
@@ -399,24 +418,6 @@ mod tests {
             ModelParams::builder().build(),
             Err(ModelError::Empty { .. })
         ));
-    }
-
-    #[test]
-    fn with_class_updated_targets_one_class() {
-        let params = ModelParams::builder()
-            .class("easy", easy())
-            .class("difficult", difficult())
-            .build()
-            .unwrap();
-        let improved = params
-            .with_class_updated(&ClassId::new("difficult"), |cp| {
-                cp.with_machine_improved(10.0)
-            })
-            .unwrap();
-        assert!(
-            (improved.class_by_name("difficult").unwrap().p_mf().value() - 0.041).abs() < 1e-12
-        );
-        assert_eq!(improved.class_by_name("easy").unwrap(), &easy());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use hmdiv_prob::Probability;
 
@@ -30,44 +30,32 @@ use crate::{ClassId, ClassParams, DemandProfile, ModelError, ModelParams};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SequentialModel {
-    params: ModelParams,
-    /// Lazily-compiled dense evaluation form. The map-based `params` stay
-    /// the public, name-keyed surface; every evaluation goes through this.
-    compiled: OnceLock<Arc<CompiledModel>>,
-}
-
-impl PartialEq for SequentialModel {
-    fn eq(&self, other: &Self) -> bool {
-        // The compiled cache is derived state; identity is the table.
-        self.params == other.params
-    }
+    /// The dense parameter table and its class-failure column, built once
+    /// in [`SequentialModel::new`]; clones share it.
+    compiled: Arc<CompiledModel>,
 }
 
 impl SequentialModel {
     /// Builds the model from a per-class parameter table.
     #[must_use]
     pub fn new(params: ModelParams) -> Self {
-        SequentialModel {
-            params,
-            compiled: OnceLock::new(),
-        }
+        SequentialModel::from(CompiledModel::new(params))
     }
 
     /// The parameter table.
     #[must_use]
     pub fn params(&self) -> &ModelParams {
-        &self.params
+        self.compiled.params()
     }
 
-    /// The dense compiled form of this model, compiled on first use and
-    /// cached. Batch callers (design sweeps, uncertainty MC) should grab
-    /// this once and bind profiles against its universe.
+    /// The dense evaluation form of this model. Batch callers (design
+    /// sweeps, uncertainty MC) should grab this once and bind profiles
+    /// against its universe.
     #[must_use]
     pub fn compiled(&self) -> &Arc<CompiledModel> {
-        self.compiled
-            .get_or_init(|| Arc::new(CompiledModel::compile(&self.params)))
+        &self.compiled
     }
 
     /// The class-conditional failure probability `PHf(x)` for one class.
@@ -76,14 +64,13 @@ impl SequentialModel {
     ///
     /// [`ModelError::MissingClass`] if the class has no parameters.
     pub fn class_failure(&self, class: &ClassId) -> Result<Probability, ModelError> {
-        Ok(self.params.class(class)?.class_failure())
+        Ok(self.params().class(class)?.class_failure())
     }
 
     /// The system failure probability under a demand profile (eq. 8).
     ///
-    /// Evaluated through the compiled form: the profile's classes resolve to
-    /// dense universe indices and the sum runs over slices, in the profile's
-    /// insertion order — bit-identical to the original map walk.
+    /// The profile's classes resolve to dense universe indices and the sum
+    /// runs over slices, in the profile's insertion order.
     ///
     /// # Errors
     ///
@@ -164,17 +151,27 @@ impl SequentialModel {
     /// in class order — the shape of the paper's tables.
     #[must_use]
     pub fn breakdown(&self) -> Vec<(ClassId, ClassParams, Probability)> {
-        self.params
+        self.params()
             .iter()
             .map(|(c, p)| (c.clone(), *p, p.class_failure()))
             .collect()
     }
 }
 
+/// Wraps an already-built dense table (e.g. a patched design candidate)
+/// without recomputing it.
+impl From<CompiledModel> for SequentialModel {
+    fn from(compiled: CompiledModel) -> Self {
+        SequentialModel {
+            compiled: Arc::new(compiled),
+        }
+    }
+}
+
 impl fmt::Display for SequentialModel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "sequential model over {} classes:", self.params.len())?;
-        for (class, params) in self.params.iter() {
+        writeln!(f, "sequential model over {} classes:", self.params().len())?;
+        for (class, params) in self.params().iter() {
             writeln!(
                 f,
                 "  {class}: {params} -> PHf(x)={:.4}",
@@ -294,14 +291,11 @@ mod tests {
     }
 
     #[test]
-    fn compiled_cache_is_shared_and_consistent() {
+    fn clones_share_one_table() {
         let m = model();
-        let c1 = std::sync::Arc::clone(m.compiled());
-        let c2 = std::sync::Arc::clone(m.compiled());
-        assert!(std::sync::Arc::ptr_eq(&c1, &c2), "compiled once, cached");
-        // A clone re-uses the already-compiled value (or recompiles to an
-        // equal one) — either way evaluation agrees.
         let clone = m.clone();
+        assert!(Arc::ptr_eq(m.compiled(), clone.compiled()));
+        assert!(std::ptr::eq(m.params(), m.compiled().params()));
         assert_eq!(
             clone.system_failure(&trial()).unwrap(),
             m.system_failure(&trial()).unwrap()
@@ -321,7 +315,7 @@ mod tests {
     fn breakdown_lists_all_classes() {
         let rows = model().breakdown();
         assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].0.name(), "difficult"); // BTreeMap order
+        assert_eq!(rows[0].0.name(), "difficult"); // sorted class order
         assert!((rows[0].2.value() - 0.605).abs() < 1e-12);
     }
 

@@ -5,16 +5,19 @@
 //! results, not merely close ones: the same summation order (profile
 //! insertion order), the same [`ClassParams`] arithmetic, and the same RNG
 //! consumption order (classes sorted by name) as walking the `BTreeMap`
-//! tables directly. Each test here re-rolls the pre-compiled map-based
-//! computation by hand and compares `f64::to_bits`.
+//! tables directly. Each test here re-rolls the computation by hand over
+//! `BTreeMap`s keyed by class — including an independent map-walk
+//! application of [`Scenario`]s — and compares `f64::to_bits`.
 // Integration tests are test code: the house `unwrap_used` ban (clippy.toml)
 // exempts tests, but clippy only auto-detects `#[cfg(test)]` modules.
 #![allow(clippy::unwrap_used)]
 
+use std::collections::BTreeMap;
+
 use hmdiv_core::adaptation::AdaptationResponse;
 use hmdiv_core::compiled::{PROFILE_LANES, SCENARIO_LANES};
 use hmdiv_core::design::rank_improvement_targets;
-use hmdiv_core::extrapolate::Scenario;
+use hmdiv_core::extrapolate::{Change, Scenario};
 use hmdiv_core::importance::{system_failure_scaled_batch, system_failure_scaled_compiled};
 use hmdiv_core::uncertainty::{propagate, propagate_par, ClassPosterior, ModelPosterior};
 use hmdiv_core::{ClassId, ClassParams, DemandProfile, ModelParams, SequentialModel};
@@ -76,6 +79,66 @@ fn map_system_failure(model: &SequentialModel, profile: &DemandProfile) -> f64 {
     Probability::clamped(total).value()
 }
 
+/// An independent map-walk application of a scenario: copy the table into
+/// a `BTreeMap`, apply each change by class name in order, then let the
+/// reader adapt against the base model's `PMf(x)`.
+fn map_apply(scenario: &Scenario, model: &SequentialModel) -> BTreeMap<ClassId, ClassParams> {
+    scenario.adaptation().validate().unwrap();
+    let base: BTreeMap<ClassId, ClassParams> = model
+        .params()
+        .iter()
+        .map(|(class, cp)| (class.clone(), *cp))
+        .collect();
+    let mut table = base.clone();
+    for change in scenario.changes() {
+        match change {
+            Change::ImproveMachine { class, factor } => {
+                let cp = table.get_mut(class).unwrap();
+                *cp = cp.with_machine_improved(*factor).unwrap();
+            }
+            Change::ImproveMachineEverywhere { factor } => {
+                for cp in table.values_mut() {
+                    *cp = cp.with_machine_improved(*factor).unwrap();
+                }
+            }
+            Change::SetMachineFailure { class, p_mf } => {
+                let cp = table.get_mut(class).unwrap();
+                *cp = cp.with_p_mf(*p_mf);
+            }
+            Change::SetReader {
+                class,
+                p_hf_given_ms,
+                p_hf_given_mf,
+            } => {
+                let cp = table.get_mut(class).unwrap();
+                *cp = cp.with_reader(*p_hf_given_ms, *p_hf_given_mf);
+            }
+            Change::ScaleReaderEverywhere { factor } => {
+                for cp in table.values_mut() {
+                    *cp = cp.with_reader(
+                        Probability::clamped(cp.p_hf_given_ms().value() * factor),
+                        Probability::clamped(cp.p_hf_given_mf().value() * factor),
+                    );
+                }
+            }
+            other => panic!("no map oracle for {other:?}"),
+        }
+    }
+    for (class, cp) in &mut table {
+        *cp = scenario.adaptation().apply(base[class].p_mf(), cp).unwrap();
+    }
+    table
+}
+
+/// Eq. (8) over a map-walk table, in profile insertion order.
+fn map_table_failure(table: &BTreeMap<ClassId, ClassParams>, profile: &DemandProfile) -> f64 {
+    let mut total = 0.0;
+    for (class, weight) in profile.iter() {
+        total += weight.value() * table[class].class_failure().value();
+    }
+    Probability::clamped(total).value()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -128,22 +191,27 @@ proptest! {
         ms in interior(),
         mf_cond in interior(),
         scale in 0.1..=1.5f64,
+        strength in 0.05..=0.95f64,
     ) {
-        let scenarios = vec![
-            Scenario::new().improve_machine(ClassId::new("alpha"), factor),
-            Scenario::new().improve_machine_everywhere(factor),
-            Scenario::new().set_machine_failure(ClassId::new("mid"), p(new_mf)),
-            Scenario::new().set_reader(ClassId::new("zeta"), p(ms), p(mf_cond)),
-            Scenario::new().scale_reader_everywhere(scale),
-        ];
+        let mut scenarios = scenario_pool(factor, new_mf, ms, mf_cond, scale, strength);
+        scenarios.push(
+            Scenario::new()
+                .set_machine_failure(ClassId::new("zeta"), p(new_mf))
+                .with_adaptation(AdaptationResponse::Vigilance { strength }),
+        );
         let compiled = sys.model.compiled();
         let bound = compiled.bind_profile(&sys.profile).unwrap();
         let batch = compiled.evaluate_scenarios(&scenarios, &bound).unwrap();
         for (scenario, fast) in scenarios.iter().zip(&batch) {
-            // Map path: clone-and-rebuild the model, then walk the maps.
-            let applied = scenario.apply(&sys.model).unwrap();
-            let slow = map_system_failure(&applied, &sys.profile);
+            // Map path: an independent by-name application, then a map walk.
+            let table = map_apply(scenario, &sys.model);
+            let slow = map_table_failure(&table, &sys.profile);
             prop_assert_eq!(fast.value().to_bits(), slow.to_bits());
+            // `Scenario::apply` yields exactly the map-walk table.
+            let applied = scenario.apply(&sys.model).unwrap();
+            for (class, cp) in applied.params().iter() {
+                prop_assert_eq!(cp, &table[class]);
+            }
         }
     }
 
@@ -174,8 +242,8 @@ proptest! {
         step in 1.5..=5.0f64,
     ) {
         // The patched greedy loop must produce a final model whose failure
-        // equals replaying its allocation through the map-based scenario
-        // machinery.
+        // equals replaying its allocation through the map-walk scenario
+        // oracle.
         let alloc = hmdiv_core::design::allocate_improvement_budget(
             &sys.model, &sys.profile, budget, step,
         ).unwrap();
@@ -185,8 +253,8 @@ proptest! {
                 scenario = scenario.improve_machine(class.clone(), step);
             }
         }
-        let replayed = scenario.apply(&sys.model).unwrap();
-        let replayed_failure = map_system_failure(&replayed, &sys.profile);
+        let replayed_failure =
+            map_table_failure(&map_apply(&scenario, &sys.model), &sys.profile);
         prop_assert!((alloc.after - replayed_failure).abs() < 1e-15,
             "{} vs {}", alloc.after, replayed_failure);
         prop_assert_eq!(

@@ -43,8 +43,9 @@ pub struct ImportanceMeasures {
 ///
 /// # Errors
 ///
-/// As [`system_failure`]; additionally [`RbdError::UnknownComponent`] if
-/// `component` does not occur in the diagram.
+/// As [`system_failure`](crate::reliability::system_failure); additionally
+/// [`RbdError::UnknownComponent`] if `component` does not occur in the
+/// diagram.
 ///
 /// # Example
 ///

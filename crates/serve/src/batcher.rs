@@ -419,33 +419,15 @@ fn reply(h: ReplyHandle, result: Reply) {
     h.complete(result);
 }
 
-/// Default dense-batch size below which a group is evaluated on the worker
+/// The dense-batch size below which a group is evaluated on the worker
 /// thread itself: spawning shard threads costs tens of microseconds,
 /// while small groups evaluate in far less than that. The `_par` entry
 /// points are thread-count-invariant, so this is purely a latency
-/// policy — results are bit-identical either way.
-const DEFAULT_PAR_THRESHOLD: usize = 1024;
-
-/// The effective parallelism threshold: the `HMDIV_SERVE_PAR_THRESHOLD`
-/// environment override when it parses as a positive integer, else
-/// `DEFAULT_PAR_THRESHOLD`. Read once per process; the `metrics` verb
-/// reports the effective value.
+/// policy — results are bit-identical either way. The `metrics` verb
+/// reports it.
 #[must_use]
-pub fn par_threshold() -> usize {
-    static THRESHOLD: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *THRESHOLD.get_or_init(|| {
-        parse_par_threshold(std::env::var("HMDIV_SERVE_PAR_THRESHOLD").ok().as_deref())
-    })
-}
-
-/// Validates a raw `HMDIV_SERVE_PAR_THRESHOLD` value: unset, empty,
-/// non-numeric, or zero values fall back to the default (zero would force
-/// shard spawns for every batch of one).
-fn parse_par_threshold(raw: Option<&str>) -> usize {
-    match raw.map(str::trim).and_then(|s| s.parse::<usize>().ok()) {
-        Some(v) if v > 0 => v,
-        _ => DEFAULT_PAR_THRESHOLD,
-    }
+pub const fn par_threshold() -> usize {
+    1024
 }
 
 /// Shard count for one dense group: serial under the threshold.
@@ -671,17 +653,6 @@ mod tests {
         // the threads interleave.
         assert!(ticket.wait().is_ok());
         handle.join().unwrap();
-    }
-
-    #[test]
-    fn par_threshold_override_is_validated() {
-        assert_eq!(parse_par_threshold(None), DEFAULT_PAR_THRESHOLD);
-        assert_eq!(parse_par_threshold(Some("")), DEFAULT_PAR_THRESHOLD);
-        assert_eq!(parse_par_threshold(Some("0")), DEFAULT_PAR_THRESHOLD);
-        assert_eq!(parse_par_threshold(Some("-4")), DEFAULT_PAR_THRESHOLD);
-        assert_eq!(parse_par_threshold(Some("lots")), DEFAULT_PAR_THRESHOLD);
-        assert_eq!(parse_par_threshold(Some("256")), 256);
-        assert_eq!(parse_par_threshold(Some(" 2048 ")), 2048);
     }
 
     #[test]
@@ -918,12 +889,11 @@ mod tests {
         // Two distinct models in one flush exercise the per-model grouping.
         let (model_a, profile_a) = model_and_profile();
         let model_b = {
-            let params = paper::example_model()
-                .unwrap()
-                .params()
-                .with_class_updated(&ClassId::new("easy"), |cp| cp.with_machine_improved(2.0))
+            let improved = Scenario::new()
+                .improve_machine(ClassId::new("easy"), 2.0)
+                .apply(&paper::example_model().unwrap())
                 .unwrap();
-            Arc::clone(hmdiv_core::SequentialModel::new(params).compiled())
+            Arc::clone(improved.compiled())
         };
         let profile_b = model_b
             .bind_profile(&paper::field_profile().unwrap())

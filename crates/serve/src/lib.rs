@@ -8,7 +8,7 @@
 //! speaking a JSON-lines protocol — a small fixed pool of readiness
 //! pollers multiplexing nonblocking sockets as per-connection state
 //! machines — a content-hash-addressed [`Registry`] of loaded models
-//! with pre-warmed compiled forms and disk snapshots (`save`/`restore`
+//! in their dense evaluation form and disk snapshots (`save`/`restore`
 //! verbs; restarted servers warm-start under identical content ids),
 //! and a micro-batching [`Batcher`] that coalesces concurrent
 //! evaluation requests into dense batch calls on the deterministic

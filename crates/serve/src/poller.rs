@@ -406,13 +406,9 @@ impl Conn {
         let read_start = self.read_start.take();
         for event in events {
             let slot = match event {
-                LineEvent::Line(line) => server::route_line(
-                    &line,
-                    received,
-                    read_start,
-                    ctx,
-                    Some(Arc::clone(&self.waker)),
-                ),
+                LineEvent::Line(line) => {
+                    server::route_line(&line, received, read_start, ctx, Arc::clone(&self.waker))
+                }
                 LineEvent::TooLong { limit } => {
                     hmdiv_obs::counter_add("serve.line_too_long", 1);
                     RequestSlot::framing_error(ServeError::LineTooLong { limit })

@@ -7,9 +7,9 @@
 //! `f64::to_bits`), so the id commits to the exact numerics: two models
 //! that differ in the 52nd mantissa bit get different ids.
 //!
-//! Every artifact's dense [`hmdiv_core::CompiledModel`]
-//! form is pre-warmed at load, so the first `evaluate` on a fresh model
-//! pays no compile latency inside the batch executor. If the caller
+//! Every artifact is built in its dense form at load, so the first
+//! `evaluate` on a fresh model pays no set-up latency inside the batch
+//! executor. If the caller
 //! supplies a serialized universe manifest, compatibility is verified at
 //! load and a [`hmdiv_core::ModelError::UniverseMismatch`] is reported
 //! before the model is admitted.
@@ -106,7 +106,7 @@ impl Artifact {
     pub fn analyze(&self) -> hmdiv_analyze::Report {
         match self {
             Artifact::Sequential(m) => hmdiv_analyze::analyze_sequential(m),
-            Artifact::Detection(m) => hmdiv_analyze::analyze_detection(m.compiled()),
+            Artifact::Detection(m) => hmdiv_analyze::analyze_detection(m),
             Artifact::Cohort(c) => hmdiv_analyze::analyze_cohort(c),
         }
     }
@@ -172,8 +172,7 @@ impl Registry {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Loads (or re-finds) a sequential model, pre-warming its compiled
-    /// form.
+    /// Loads (or re-finds) a sequential model.
     ///
     /// # Errors
     ///
@@ -228,13 +227,11 @@ impl Registry {
             builder = builder.class(class, dp);
         }
         let model = builder.build().map_err(ServeError::Model)?;
-        let compiled = Arc::clone(model.compiled());
-        verify_manifest(manifest, compiled.universe())?;
-        admit(&hmdiv_analyze::analyze_detection(&compiled))?;
+        verify_manifest(manifest, model.universe())?;
+        admit(&hmdiv_analyze::analyze_detection(&model))?;
         let mut h = Fnv::new(b'D');
-        h.u64(compiled.universe().content_hash());
-        for index in 0..compiled.universe().len() as u32 {
-            let dp = compiled.params_at(index);
+        h.u64(model.universe().content_hash());
+        for (_, dp) in model.iter() {
             h.f64(dp.p_mf.value());
             h.f64(dp.p_h_miss.value());
             h.f64(dp.p_h_misclass.value());
@@ -242,13 +239,13 @@ impl Registry {
         let id = format!("m{:016x}", h.finish());
         let receipt = LoadReceipt {
             id: id.clone(),
-            classes: compiled
+            classes: model
                 .universe()
                 .classes()
                 .iter()
                 .map(|c| c.name().to_owned())
                 .collect(),
-            universe_hash: compiled.universe().content_hash(),
+            universe_hash: model.universe().content_hash(),
         };
         self.store()
             .entry(id)
@@ -256,8 +253,7 @@ impl Registry {
         Ok(receipt)
     }
 
-    /// Loads (or re-finds) a reader cohort, pre-warming every member's
-    /// compiled model.
+    /// Loads (or re-finds) a reader cohort.
     ///
     /// # Errors
     ///
@@ -326,7 +322,7 @@ impl Registry {
                         (u.len(), u.content_hash())
                     }
                     Artifact::Detection(m) => {
-                        let u = m.compiled().universe();
+                        let u = m.universe();
                         (u.len(), u.content_hash())
                     }
                     Artifact::Cohort(c) => {
@@ -538,15 +534,9 @@ fn snapshot_json(artifact: &Artifact) -> Json {
             ("classes".to_owned(), sequential_classes_json(m.compiled())),
         ]),
         Artifact::Detection(m) => {
-            let compiled = m.compiled();
-            let classes = compiled
-                .universe()
-                .classes()
+            let classes = m
                 .iter()
-                .enumerate()
-                .map(|(index, class)| {
-                    #[allow(clippy::cast_possible_truncation)]
-                    let dp = compiled.params_at(index as u32);
+                .map(|(class, dp)| {
                     (
                         class.name().to_owned(),
                         Json::Obj(vec![
@@ -621,7 +611,10 @@ mod tests {
         assert_eq!(a.classes, ["difficult", "easy"]);
         // A single-bit parameter change produces a different id.
         let tweaked = paper_params()
-            .with_class_updated(&ClassId::new("easy"), |cp| {
+            .map_classes(|class, cp| {
+                if class.name() != "easy" {
+                    return Ok(*cp);
+                }
                 Ok(cp.with_p_mf(hmdiv_prob::Probability::new(f64::from_bits(
                     cp.p_mf().value().to_bits() + 1,
                 ))?))

@@ -438,7 +438,7 @@ pub(crate) fn route_line(
     received: Instant,
     read_start: Option<Instant>,
     ctx: &Ctx,
-    waker: Option<Waker>,
+    waker: Waker,
 ) -> RequestSlot {
     let parse_start = Instant::now();
     match protocol::parse_request(line) {
@@ -470,7 +470,7 @@ pub(crate) fn route_line(
             });
             let echo = trace.as_ref().map(|(tid, ..)| *tid).or(env.trace_id);
             let stage_set = trace.as_ref().map(|(_, set, ..)| Arc::clone(set));
-            let routed = route(&env, received, ctx, stage_set.clone(), waker);
+            let routed = route(&env, received, ctx, stage_set.clone(), Some(waker));
             if let Some(set) = &stage_set {
                 // Queued verbs spend `route` binding and submitting —
                 // count that as parse; inline verbs do their whole
@@ -518,10 +518,9 @@ pub(crate) fn finish_slot(
                 TraceOutcome::Ok,
             )
         }
-        Ok(Routed::Queued { ticket, render }) => {
-            // The poller hands over the reply it already took; fall back
-            // to a blocking wait for any caller that did not.
-            let reply = reply.unwrap_or_else(|| ticket.wait());
+        Ok(Routed::Queued { render, .. }) => {
+            let reply = reply
+                .expect("Conn::pump finishes a queued slot only after try_take took its reply");
             let s = Instant::now();
             match reply.and_then(|o| render_outcome(&render, o)) {
                 Ok(result) => (
@@ -810,8 +809,7 @@ fn route(
                     Json::str(hmdiv_obs::export::to_prometheus(&snapshot)),
                 ),
                 ("histograms".to_owned(), Json::Obj(histograms)),
-                // The effective batcher parallelism threshold (default or
-                // HMDIV_SERVE_PAR_THRESHOLD override).
+                // The batcher's parallelism threshold (a constant).
                 ("par_threshold".to_owned(), Json::Num(par_threshold)),
                 ("queue_depth".to_owned(), Json::Num(queue_depth)),
                 ("queue_cost".to_owned(), Json::Num(queue_cost)),
@@ -975,12 +973,11 @@ fn route(
                     })
                 }
                 Artifact::Detection(model) => {
-                    let compiled = Arc::clone(model.compiled());
                     let ticket = ctx.batcher.submit(
                         Work::Direct(Box::new(move || {
-                            let bound =
-                                compiled.bind_profile(&profile).map_err(ServeError::Model)?;
-                            Ok(Outcome::One(compiled.system_failure(&bound)))
+                            let failure =
+                                model.system_failure(&profile).map_err(ServeError::Model)?;
+                            Ok(Outcome::One(failure))
                         })),
                         1,
                         deadline,

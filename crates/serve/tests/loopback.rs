@@ -223,7 +223,7 @@ fn golden_fixtures_for_every_verb() {
     assert_eq!(rows.len(), 2);
 
     // metrics: Prometheus text with serve counters present, plus the
-    // batcher's effective parallelism threshold (env-overridable).
+    // batcher's parallelism threshold.
     let metrics = client.request("metrics", vec![]).unwrap();
     let text = metrics.get("prometheus").and_then(Json::as_str).unwrap();
     assert!(text.contains("serve_verb_evaluate"), "got: {text}");
