@@ -2,8 +2,9 @@
 //! driven through the `hmdiv-fleet` consistent-hash router at 1, 2, and
 //! 4 replicas.
 //!
-//! Each replica is pinned to a *single* executor thread and a single
-//! poller (`threads: 1, poller_threads: 1`), so adding replicas is the
+//! Each replica is pinned to a *single* poller, which also runs the
+//! replica's batch evaluation, with no extra evaluation shards
+//! (`threads: 1, poller_threads: 1`), so adding replicas is the
 //! only way the fleet gains compute — the scaling curve measures the
 //! router's fan-out, not incidental intra-replica parallelism. On a
 //! multi-core host the served-rate ratio at 4 replicas vs 1 approaches

@@ -1,9 +1,10 @@
 //! The micro-batching executor: coalesces concurrent evaluation requests
 //! into dense batch calls.
 //!
-//! Connection threads [`submit`](Batcher::submit) work into a **bounded**
-//! queue and block on a [`Ticket`]; a single worker thread drains the
-//! whole queue each wakeup and groups what it found:
+//! The executor is a **bounded queue with no thread of its own**. Callers
+//! [`submit`](Batcher::submit) work and get a [`Ticket`]; whoever calls
+//! [`flush_queued`](Batcher::flush_queued) next drains the whole queue and
+//! evaluates it on the calling thread, grouping what it found:
 //!
 //! * profile evaluations against the same compiled model become one
 //!   [`CompiledModel::evaluate_profiles_par`] call;
@@ -11,9 +12,18 @@
 //!   [`CompiledModel::evaluate_scenarios_par`] call;
 //! * everything else ([`Work::Direct`]) runs inline.
 //!
-//! Under light load a request flows through alone (batch of one); under
-//! concurrent load batches form naturally from whatever queued while the
-//! previous flush ran — no timers, no added latency floor.
+//! A poller shard routes every ready connection's lines, flushes once,
+//! then writes: pipelined requests and requests from different
+//! connections coalesce into one dense call with no thread hand-off.
+//! Blocking callers need no flusher: [`Ticket::wait`] flushes whatever is
+//! queued before it blocks. Under light load a request flows through alone
+//! (batch of one); under concurrent load batches form from whatever queued
+//! since the last flush — no timers, no added latency floor.
+//!
+//! Heavy work (a dense group of at least [`par_threshold`] items, or a
+//! `cohort` evaluation) runs on the flushing thread and shards through
+//! `prob::par` from there: it holds only the flushing shard, and the other
+//! shards keep serving.
 //!
 //! **Bit-identity:** each profile/scenario is evaluated independently and
 //! the `_par` entry points are thread-count-invariant, so a batched result
@@ -32,12 +42,11 @@
 //! **Wakeable tickets:** a [`Ticket`] can be waited on (blocking, for the
 //! client library and tests) or polled with [`try_take`](Ticket::try_take)
 //! by the event-driven connection poller; an optional [`Waker`] supplied
-//! at submit time fires when the reply lands, so a poller thread sleeps
-//! instead of spinning.
+//! at submit time fires when the reply lands, so a shard whose request
+//! another thread flushed learns of it without polling.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 use hmdiv_core::extrapolate::Scenario;
@@ -67,7 +76,7 @@ pub enum Work {
         /// The scenarios to evaluate, in order.
         scenarios: Vec<Scenario>,
     },
-    /// Arbitrary work that runs inline on the executor thread (importance
+    /// Arbitrary work that runs inline on the flushing thread (importance
     /// rankings, cohort evaluations, detection-model evaluations).
     Direct(Box<dyn FnOnce() -> Result<Outcome, ServeError> + Send>),
 }
@@ -147,6 +156,8 @@ impl ReplySlot {
 /// A claim on a submitted unit of work.
 pub struct Ticket {
     slot: Arc<ReplySlot>,
+    /// The queue the work went into, flushed by [`Ticket::wait`].
+    shared: Arc<Shared>,
 }
 
 impl std::fmt::Debug for Ticket {
@@ -156,13 +167,15 @@ impl std::fmt::Debug for Ticket {
 }
 
 impl Ticket {
-    /// Blocks until the executor replies.
+    /// Flushes whatever is queued on the calling thread, then blocks
+    /// until the reply lands (another thread may be evaluating it).
     ///
     /// # Errors
     ///
     /// Whatever the work produced; [`ServeError::ShuttingDown`] if the
-    /// executor stopped before replying.
+    /// job was dropped before it was evaluated.
     pub fn wait(self) -> Reply {
+        self.shared.flush_queued();
         let mut st = self
             .slot
             .state
@@ -194,7 +207,7 @@ impl Ticket {
 
 /// The reply half of a queued job, plus the request's stage stamps when
 /// the connection admitted it with tracing on. Dropping an unfilled
-/// handle (worker panic, drain race) delivers `ShuttingDown` so no ticket
+/// handle (a panicking flush, a drain race) delivers `ShuttingDown` so no ticket
 /// waits forever.
 struct ReplyHandle {
     enqueued: Instant,
@@ -237,23 +250,48 @@ struct State {
 
 struct Shared {
     state: Mutex<State>,
-    bell: Condvar,
     capacity: usize,
     threads: usize,
 }
 
 impl Shared {
+    fn new(capacity: usize, threads: usize) -> Arc<Shared> {
+        Arc::new(Shared {
+            state: Mutex::new(State {
+                queue: VecDeque::new(),
+                queued_cost: 0,
+                draining: false,
+            }),
+            capacity,
+            threads: threads.max(1),
+        })
+    }
+
     fn lock(&self) -> std::sync::MutexGuard<'_, State> {
         self.state
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Takes the whole queue and evaluates it on the calling thread.
+    fn flush_queued(&self) {
+        let batch: Vec<Pending> = {
+            let mut st = self.lock();
+            if st.queue.is_empty() {
+                return;
+            }
+            // The whole queue drains at once, so the queued cost resets
+            // with it — capacity frees as a unit per flush.
+            st.queued_cost = 0;
+            st.queue.drain(..).collect()
+        };
+        flush(batch, self.threads);
     }
 }
 
 /// The micro-batching executor.
 pub struct Batcher {
     shared: Arc<Shared>,
-    worker: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for Batcher {
@@ -266,40 +304,26 @@ impl std::fmt::Debug for Batcher {
 }
 
 impl Batcher {
-    /// Starts the executor with a bounded queue of `capacity` jobs,
+    /// Creates the executor with a bounded queue of `capacity` cost units,
     /// evaluating dense batches on `threads` shards.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Io`] if the worker thread cannot be spawned.
+    /// None today; the `Result` keeps the constructor's contract stable.
     pub fn start(capacity: usize, threads: usize) -> Result<Batcher, ServeError> {
-        let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                queue: VecDeque::new(),
-                queued_cost: 0,
-                draining: false,
-            }),
-            bell: Condvar::new(),
-            capacity,
-            threads: threads.max(1),
-        });
-        let worker_shared = Arc::clone(&shared);
-        let worker = std::thread::Builder::new()
-            .name("hmdiv-serve-batcher".into())
-            .spawn(move || run_worker(&worker_shared))?;
         Ok(Batcher {
-            shared,
-            worker: Mutex::new(Some(worker)),
+            shared: Shared::new(capacity, threads),
         })
     }
 
     /// Submits work with its admission `cost` — the number of scalar
-    /// evaluations the job expands to (clamped to at least 1). A `trace`
-    /// stage set, when supplied, learns the queue depth observed at
-    /// admission and is stamped with queue/batch/eval stages as the job
-    /// moves through the executor. A `waker`, when supplied, fires the
-    /// moment the reply lands so an event-driven caller can sleep on its
-    /// poller instead of blocking on the ticket.
+    /// evaluations the job expands to (clamped to at least 1). The job
+    /// only enqueues; it runs at the next [`flush_queued`](Self::flush_queued)
+    /// or [`Ticket::wait`]. A `trace` stage set, when supplied, learns the
+    /// queue depth observed at admission and is stamped with
+    /// queue/batch/eval stages as the job is flushed. A `waker`, when
+    /// supplied, fires the moment the reply lands so an event-driven
+    /// caller can sleep on its poller instead of blocking on the ticket.
     ///
     /// # Errors
     ///
@@ -317,37 +341,41 @@ impl Batcher {
     ) -> Result<Ticket, ServeError> {
         let cost = cost.max(1);
         let slot = ReplySlot::new();
-        {
-            let mut st = self.shared.lock();
-            if st.draining {
-                return Err(ServeError::ShuttingDown);
-            }
-            if st.queued_cost + cost > self.shared.capacity {
-                hmdiv_obs::counter_add("serve.overloaded", 1);
-                if let Some(t) = &trace {
-                    t.set_queue_depth(st.queue.len() as u64);
-                }
-                return Err(ServeError::Overloaded {
-                    capacity: self.shared.capacity,
-                });
-            }
-            if let Some(t) = &trace {
-                t.set_queue_depth(st.queue.len() as u64);
-            }
-            st.queued_cost += cost;
-            st.queue.push_back(Pending {
-                work,
-                deadline,
-                handle: ReplyHandle {
-                    enqueued: Instant::now(),
-                    trace,
-                    slot: Arc::clone(&slot),
-                    waker,
-                },
+        let mut st = self.shared.lock();
+        if st.draining {
+            return Err(ServeError::ShuttingDown);
+        }
+        if let Some(t) = &trace {
+            t.set_queue_depth(st.queue.len() as u64);
+        }
+        if st.queued_cost + cost > self.shared.capacity {
+            hmdiv_obs::counter_add("serve.overloaded", 1);
+            return Err(ServeError::Overloaded {
+                capacity: self.shared.capacity,
             });
         }
-        self.shared.bell.notify_one();
-        Ok(Ticket { slot })
+        st.queued_cost += cost;
+        st.queue.push_back(Pending {
+            work,
+            deadline,
+            handle: ReplyHandle {
+                enqueued: Instant::now(),
+                trace,
+                slot: Arc::clone(&slot),
+                waker,
+            },
+        });
+        Ok(Ticket {
+            slot,
+            shared: Arc::clone(&self.shared),
+        })
+    }
+
+    /// Drains the whole queue and evaluates it on the calling thread;
+    /// returns at once when nothing is queued. Concurrent callers each
+    /// take a disjoint batch, so no job is evaluated twice.
+    pub fn flush_queued(&self) {
+        self.shared.flush_queued();
     }
 
     /// Jobs currently queued (for tests and the `metrics` verb; the bound
@@ -364,24 +392,11 @@ impl Batcher {
         self.shared.lock().queued_cost
     }
 
-    /// Stops accepting work, flushes everything already queued, and joins
-    /// the worker. Idempotent.
+    /// Stops accepting work and flushes everything still queued on the
+    /// calling thread. Idempotent.
     pub fn drain(&self) {
-        {
-            let mut st = self.shared.lock();
-            st.draining = true;
-        }
-        self.shared.bell.notify_all();
-        let handle = self
-            .worker
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take();
-        if let Some(worker) = handle {
-            // A panicked worker already replied `ShuttingDown` to waiters
-            // via dropped channels; nothing more to salvage here.
-            drop(worker.join());
-        }
+        self.shared.lock().draining = true;
+        self.shared.flush_queued();
     }
 }
 
@@ -391,36 +406,14 @@ impl Drop for Batcher {
     }
 }
 
-fn run_worker(shared: &Shared) {
-    loop {
-        let batch: Vec<Pending> = {
-            let mut st = shared.lock();
-            while st.queue.is_empty() && !st.draining {
-                st = shared
-                    .bell
-                    .wait(st)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-            if st.queue.is_empty() {
-                return; // draining and nothing left
-            }
-            // The whole queue drains at once, so the queued cost resets
-            // with it — capacity frees as a unit per flush.
-            st.queued_cost = 0;
-            st.queue.drain(..).collect()
-        };
-        flush(batch, shared.threads);
-    }
-}
-
 /// Replies to one job, recording its queue-to-reply latency.
 fn reply(h: ReplyHandle, result: Reply) {
     hmdiv_obs::observe_since("serve.request", h.enqueued);
     h.complete(result);
 }
 
-/// The dense-batch size below which a group is evaluated on the worker
-/// thread itself: spawning shard threads costs tens of microseconds,
+/// The dense-batch size below which a group is evaluated on the flushing
+/// thread alone: spawning shard threads costs tens of microseconds,
 /// while small groups evaluate in far less than that. The `_par` entry
 /// points are thread-count-invariant, so this is purely a latency
 /// policy — results are bit-identical either way. The `metrics` verb
@@ -461,7 +454,7 @@ fn flush(batch: Vec<Pending>, threads: usize) {
     #[allow(clippy::cast_precision_loss)]
     hmdiv_obs::gauge_set("serve.batch.last_size", batch.len() as f64);
     // Satellite metrics sampled once per flush: how deep the queue was
-    // when the worker woke (everything drained is everything that was
+    // when it was drained (everything drained is everything that was
     // waiting) and the resulting batch size on the power-of-two ladder.
     #[allow(clippy::cast_precision_loss)]
     hmdiv_obs::gauge_set("serve.queue_depth", batch.len() as f64);
@@ -584,6 +577,7 @@ mod tests {
     use super::*;
     use hmdiv_core::paper;
     use hmdiv_core::ClassId;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc;
     use std::time::Duration;
 
@@ -596,6 +590,49 @@ mod tests {
         (compiled, profile)
     }
 
+    /// Submits `work` at cost 1 with no deadline, trace or waker.
+    fn enqueue(batcher: &Batcher, work: Work) -> Result<Ticket, ServeError> {
+        batcher.submit(work, 1, None, None, None)
+    }
+
+    fn profile_work(model: &Arc<CompiledModel>, profile: &CompiledProfile) -> Work {
+        Work::Profile {
+            model: Arc::clone(model),
+            profile: profile.clone(),
+        }
+    }
+
+    fn scenario_work(
+        model: &Arc<CompiledModel>,
+        profile: &CompiledProfile,
+        scenarios: Vec<Scenario>,
+    ) -> Work {
+        Work::Scenarios {
+            model: Arc::clone(model),
+            profile: profile.clone(),
+            scenarios,
+        }
+    }
+
+    fn null_work() -> Work {
+        Work::Direct(Box::new(|| Ok(Outcome::Value(Json::Null))))
+    }
+
+    /// A ticket on a bare reply cell, with an empty queue to flush.
+    fn ticket_for(slot: &Arc<ReplySlot>) -> Ticket {
+        Ticket {
+            slot: Arc::clone(slot),
+            shared: Shared::new(0, 1),
+        }
+    }
+
+    fn assert_one(reply: Reply, want: Probability) {
+        match reply {
+            Ok(Outcome::One(p)) => assert_eq!(p.value().to_bits(), want.value().to_bits()),
+            other => panic!("expected One({want:?}), got {other:?}"),
+        }
+    }
+
     // ReplySlot is the one lock-free-adjacent cell every reply crosses;
     // these focused tests are the CI Miri targets for it.
 
@@ -605,30 +642,20 @@ mod tests {
         assert!(slot.fill(Ok(Outcome::One(Probability::HALF))));
         // A late ShuttingDown overwrite (handle drop) must lose the race.
         assert!(!slot.fill(Err(ServeError::ShuttingDown)));
-        let ticket = Ticket {
-            slot: Arc::clone(&slot),
-        };
-        match ticket.try_take() {
-            Some(Ok(Outcome::One(p))) => assert_eq!(p.value().to_bits(), 0.5_f64.to_bits()),
-            other => panic!("expected the first fill, got {other:?}"),
-        }
+        assert_one(ticket_for(&slot).try_take().unwrap(), Probability::HALF);
         // Taking the reply empties the cell but keeps it closed.
         assert!(!slot.fill(Ok(Outcome::One(Probability::ZERO))));
-        let ticket = Ticket { slot };
-        assert!(ticket.try_take().is_none());
+        assert!(ticket_for(&slot).try_take().is_none());
     }
 
     #[test]
     fn reply_slot_concurrent_fillers_have_exactly_one_winner() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         for _ in 0..16 {
             let slot = ReplySlot::new();
             let wins = AtomicUsize::new(0);
             std::thread::scope(|s| {
                 for _ in 0..4 {
-                    let slot = Arc::clone(&slot);
-                    let wins = &wins;
-                    s.spawn(move || {
+                    s.spawn(|| {
                         if slot.fill(Ok(Outcome::One(Probability::HALF))) {
                             wins.fetch_add(1, Ordering::Relaxed);
                         }
@@ -636,8 +663,7 @@ mod tests {
                 }
             });
             assert_eq!(wins.load(Ordering::Relaxed), 1);
-            let ticket = Ticket { slot };
-            assert!(ticket.wait().is_ok());
+            assert!(ticket_for(&slot).wait().is_ok());
         }
     }
 
@@ -648,36 +674,18 @@ mod tests {
         let handle = std::thread::spawn(move || {
             filler.fill(Ok(Outcome::One(Probability::ONE)));
         });
-        let ticket = Ticket { slot };
         // wait() must block (not spin-fail) until the fill lands, however
         // the threads interleave.
-        assert!(ticket.wait().is_ok());
+        assert!(ticket_for(&slot).wait().is_ok());
         handle.join().unwrap();
     }
 
     #[test]
     fn single_profile_round_trips_bit_identically() {
         let (model, profile) = model_and_profile();
-        let direct = model.system_failure(&profile);
         let batcher = Batcher::start(8, 2).unwrap();
-        let ticket = batcher
-            .submit(
-                Work::Profile {
-                    model: Arc::clone(&model),
-                    profile,
-                },
-                1,
-                None,
-                None,
-                None,
-            )
-            .unwrap();
-        match ticket.wait().unwrap() {
-            Outcome::One(p) => {
-                assert_eq!(p.value().to_bits(), direct.value().to_bits());
-            }
-            other => panic!("expected One, got {other:?}"),
-        }
+        let ticket = enqueue(&batcher, profile_work(&model, &profile)).unwrap();
+        assert_one(ticket.wait(), model.system_failure(&profile));
     }
 
     #[test]
@@ -688,36 +696,13 @@ mod tests {
             .collect();
         let direct = model.evaluate_scenarios(&scenarios, &profile).unwrap();
         let batcher = Batcher::start(16, 3).unwrap();
-        // Submit in two chunks against the same model+profile so the worker
-        // can coalesce them into one dense call.
-        let t1 = batcher
-            .submit(
-                Work::Scenarios {
-                    model: Arc::clone(&model),
-                    profile: profile.clone(),
-                    scenarios: scenarios[..3].to_vec(),
-                },
-                3,
-                None,
-                None,
-                None,
-            )
-            .unwrap();
-        let t2 = batcher
-            .submit(
-                Work::Scenarios {
-                    model: Arc::clone(&model),
-                    profile: profile.clone(),
-                    scenarios: scenarios[3..].to_vec(),
-                },
-                3,
-                None,
-                None,
-                None,
-            )
-            .unwrap();
-        let (r1, r2) = (t1.wait().unwrap(), t2.wait().unwrap());
-        let got: Vec<Probability> = match (r1, r2) {
+        // Submit in two chunks against the same model+profile so the first
+        // wait's flush coalesces them into one dense call.
+        let [t1, t2] = [&scenarios[..3], &scenarios[3..]].map(|chunk| {
+            let work = scenario_work(&model, &profile, chunk.to_vec());
+            batcher.submit(work, 3, None, None, None).unwrap()
+        });
+        let got: Vec<Probability> = match (t1.wait().unwrap(), t2.wait().unwrap()) {
             (Outcome::Many(a), Outcome::Many(b)) => a.into_iter().chain(b).collect(),
             other => panic!("expected Many+Many, got {other:?}"),
         };
@@ -733,32 +718,8 @@ mod tests {
         let good = vec![Scenario::new().improve_machine_everywhere(2.0)];
         let bad = vec![Scenario::new().improve_machine(ClassId::new("ghost"), 2.0)];
         let batcher = Batcher::start(16, 2).unwrap();
-        let t_good = batcher
-            .submit(
-                Work::Scenarios {
-                    model: Arc::clone(&model),
-                    profile: profile.clone(),
-                    scenarios: good,
-                },
-                1,
-                None,
-                None,
-                None,
-            )
-            .unwrap();
-        let t_bad = batcher
-            .submit(
-                Work::Scenarios {
-                    model: Arc::clone(&model),
-                    profile,
-                    scenarios: bad,
-                },
-                1,
-                None,
-                None,
-                None,
-            )
-            .unwrap();
+        let t_good = enqueue(&batcher, scenario_work(&model, &profile, good)).unwrap();
+        let t_bad = enqueue(&batcher, scenario_work(&model, &profile, bad)).unwrap();
         assert!(t_good.wait().is_ok(), "good job must not inherit the error");
         assert!(matches!(
             t_bad.wait(),
@@ -772,16 +733,11 @@ mod tests {
     fn expired_deadlines_are_rejected_without_evaluation() {
         let (model, profile) = model_and_profile();
         let batcher = Batcher::start(8, 1).unwrap();
-        // A deadline of "now" is already unmeetable by the time the worker
-        // wakes: deterministic expiry, no sleeps.
+        // A deadline of "now" is already unmeetable by the time the queue
+        // is flushed: deterministic expiry, no sleeps.
+        let work = Work::Profile { model, profile };
         let ticket = batcher
-            .submit(
-                Work::Profile { model, profile },
-                1,
-                Some(Instant::now()),
-                None,
-                None,
-            )
+            .submit(work, 1, Some(Instant::now()), None, None)
             .unwrap();
         assert!(matches!(ticket.wait(), Err(ServeError::DeadlineExceeded)));
     }
@@ -790,58 +746,103 @@ mod tests {
     fn full_queue_rejects_with_overloaded_and_stays_bounded() {
         let batcher = Batcher::start(2, 1).unwrap();
         // Rendezvous: a Direct job signals it started, then blocks until
-        // released — the worker is busy and the queue is empty.
+        // released. A helper thread flushes it by waiting on its ticket,
+        // so that flush is held and the queue is empty.
         let (started_tx, started_rx) = mpsc::channel();
         let (release_tx, release_rx) = mpsc::channel::<()>();
-        let blocker = batcher
-            .submit(
-                Work::Direct(Box::new(move || {
-                    started_tx.send(()).ok();
-                    release_rx.recv().ok();
-                    Ok(Outcome::Value(Json::Null))
-                })),
-                1,
-                None,
-                None,
-                None,
-            )
-            .unwrap();
+        let blocker = Work::Direct(Box::new(move || {
+            started_tx.send(()).ok();
+            release_rx.recv().ok();
+            Ok(Outcome::Value(Json::Null))
+        }));
+        let blocker = enqueue(&batcher, blocker).unwrap();
+        let flusher = std::thread::spawn(move || blocker.wait());
         started_rx
             .recv_timeout(Duration::from_secs(10))
-            .expect("worker never started the blocker");
-        // Fill the queue to capacity while the worker is held.
+            .expect("the helper never started the blocker");
+        // Fill the queue to capacity while that flush is held.
         let queued: Vec<Ticket> = (0..2)
-            .map(|_| {
-                batcher
-                    .submit(
-                        Work::Direct(Box::new(|| Ok(Outcome::Value(Json::Null)))),
-                        1,
-                        None,
-                        None,
-                        None,
-                    )
-                    .unwrap()
-            })
+            .map(|_| enqueue(&batcher, null_work()).unwrap())
             .collect();
         assert!(batcher.queue_len() <= 2, "queue must stay within capacity");
         // The next submit is shed, not buffered.
-        let rejected = batcher.submit(
-            Work::Direct(Box::new(|| Ok(Outcome::Value(Json::Null)))),
-            1,
-            None,
-            None,
-            None,
-        );
         assert!(matches!(
-            rejected,
+            enqueue(&batcher, null_work()),
             Err(ServeError::Overloaded { capacity: 2 })
         ));
-        // Release the worker: everything accepted completes.
+        // Release the held flush: everything accepted completes.
         release_tx.send(()).unwrap();
-        assert!(blocker.wait().is_ok());
+        assert!(flusher.join().unwrap().is_ok());
         for t in queued {
             assert!(t.wait().is_ok());
         }
+    }
+
+    // Caller-runs flushing: these socket-free tests are CI Miri targets
+    // alongside the reply cell.
+
+    #[test]
+    fn flush_on_another_thread_is_bit_identical_and_wakes_once() {
+        let (model, profile) = model_and_profile();
+        let batcher = Batcher::start(8, 2).unwrap();
+        let wakes = Arc::new(AtomicUsize::new(0));
+        let waker: Waker = {
+            let wakes = Arc::clone(&wakes);
+            Arc::new(move || {
+                wakes.fetch_add(1, Ordering::SeqCst);
+            })
+        };
+        // Thread A submits; thread B flushes.
+        let ticket = std::thread::scope(|s| {
+            let work = profile_work(&model, &profile);
+            let submit = s.spawn(|| batcher.submit(work, 1, None, None, Some(waker)));
+            let ticket = submit.join().unwrap().unwrap();
+            assert_eq!(wakes.load(Ordering::SeqCst), 0, "submit only enqueues");
+            s.spawn(|| batcher.flush_queued()).join().unwrap();
+            ticket
+        });
+        assert_eq!(wakes.load(Ordering::SeqCst), 1, "the reply rang once");
+        assert_one(ticket.try_take().unwrap(), model.system_failure(&profile));
+        batcher.flush_queued();
+        drop(batcher);
+        assert_eq!(wakes.load(Ordering::SeqCst), 1, "no second ring");
+    }
+
+    #[test]
+    fn flush_queued_concurrently_evaluates_each_job_once() {
+        let batcher = Batcher::start(64, 1).unwrap();
+        let runs: Vec<AtomicUsize> = (0..32).map(|_| AtomicUsize::new(0)).collect();
+        let runs = Arc::new(runs);
+        std::thread::scope(|s| {
+            let submitter = s.spawn(|| {
+                (0..32)
+                    .map(|i| {
+                        let runs = Arc::clone(&runs);
+                        let work = Work::Direct(Box::new(move || {
+                            runs[i].fetch_add(1, Ordering::SeqCst);
+                            Ok(Outcome::Value(Json::Null))
+                        }));
+                        enqueue(&batcher, work).unwrap()
+                    })
+                    .collect::<Vec<Ticket>>()
+            });
+            // Two flushers race the submitter and each other.
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..8 {
+                        batcher.flush_queued();
+                        std::thread::yield_now();
+                    }
+                });
+            }
+            for t in submitter.join().unwrap() {
+                assert!(t.wait().is_ok());
+            }
+        });
+        for (i, n) in runs.iter().enumerate() {
+            assert_eq!(n.load(Ordering::SeqCst), 1, "job {i} ran {n:?} times");
+        }
+        assert_eq!(batcher.queue_cost(), 0);
     }
 
     #[test]
@@ -849,36 +850,14 @@ mod tests {
         let (model, profile) = model_and_profile();
         let batcher = Batcher::start(8, 2).unwrap();
         let tickets: Vec<Ticket> = (0..4)
-            .map(|_| {
-                batcher
-                    .submit(
-                        Work::Profile {
-                            model: Arc::clone(&model),
-                            profile: profile.clone(),
-                        },
-                        1,
-                        None,
-                        None,
-                        None,
-                    )
-                    .unwrap()
-            })
+            .map(|_| enqueue(&batcher, profile_work(&model, &profile)).unwrap())
             .collect();
         batcher.drain();
         for t in tickets {
             assert!(t.wait().is_ok(), "in-flight work must complete on drain");
         }
         assert!(matches!(
-            batcher.submit(
-                Work::Profile {
-                    model: Arc::clone(&model),
-                    profile: profile.clone(),
-                },
-                1,
-                None,
-                None,
-                None,
-            ),
+            enqueue(&batcher, profile_work(&model, &profile)),
             Err(ServeError::ShuttingDown)
         ));
         batcher.drain(); // idempotent
@@ -898,38 +877,20 @@ mod tests {
         let profile_b = model_b
             .bind_profile(&paper::field_profile().unwrap())
             .unwrap();
-        let direct_a = model_a.system_failure(&profile_a);
-        let direct_b = model_b.system_failure(&profile_b);
         let batcher = Batcher::start(64, 4).unwrap();
-        let tickets: Vec<(Ticket, u64)> = (0..20)
+        let tickets: Vec<(Ticket, Probability)> = (0..20)
             .map(|i| {
-                let (m, pr, want) = if i % 2 == 0 {
-                    (&model_a, &profile_a, direct_a)
+                let (m, pr) = if i % 2 == 0 {
+                    (&model_a, &profile_a)
                 } else {
-                    (&model_b, &profile_b, direct_b)
+                    (&model_b, &profile_b)
                 };
-                (
-                    batcher
-                        .submit(
-                            Work::Profile {
-                                model: Arc::clone(m),
-                                profile: pr.clone(),
-                            },
-                            1,
-                            None,
-                            None,
-                            None,
-                        )
-                        .unwrap(),
-                    want.value().to_bits(),
-                )
+                let ticket = enqueue(&batcher, profile_work(m, pr)).unwrap();
+                (ticket, m.system_failure(pr))
             })
             .collect();
         for (t, want) in tickets {
-            match t.wait().unwrap() {
-                Outcome::One(p) => assert_eq!(p.value().to_bits(), want),
-                other => panic!("expected One, got {other:?}"),
-            }
+            assert_one(t.wait(), want);
         }
     }
 }

@@ -5,23 +5,30 @@
 //! Each shard owns its connections outright — no cross-thread connection
 //! state — and waits on its own [`Reactor`]. A wake services only the
 //! connections reported ready: by the reactor (bytes to read, room to
-//! write) or by the executor, whose per-connection [`Waker`] marks the
-//! connection's token in the shard's inbox and rings the reactor when a
-//! reply lands. Servicing one connection drives its state machine
-//! through four moves:
+//! write) or by another thread whose flush answered one of the shard's
+//! requests; that connection's [`Waker`] marks its token in the shard's
+//! inbox and rings the reactor. One wake runs in three phases:
 //!
-//! 1. **read**: drain readable bytes into the resumable
-//!    [`LineReader`](crate::protocol::LineReader) (budgeted, and skipped
-//!    while the write buffer is over the high-watermark — backpressure
-//!    propagates to the client's TCP window instead of server memory);
-//! 2. **route**: frame complete lines and route each into a
-//!    [`RequestSlot`] (queued work carries the connection's [`Waker`]);
-//! 3. **pump**: resolve the contiguous head of the in-order slot queue —
-//!    inline answers immediately, queued answers via
-//!    [`Ticket::try_take`](crate::batcher::Ticket::try_take) — and
-//!    serialize them into the write buffer;
-//! 4. **write**: push buffered bytes until the socket would block,
-//!    completing trace records as their byte ranges reach the kernel.
+//! 1. **read and route**, per ready connection: drain readable bytes into
+//!    the resumable [`LineReader`](crate::protocol::LineReader)
+//!    (budgeted, and skipped while the write buffer is over the
+//!    high-watermark — backpressure propagates to the client's TCP window
+//!    instead of server memory), then frame complete lines and route each
+//!    into a [`RequestSlot`] (queued work carries the connection's
+//!    [`Waker`]);
+//! 2. **flush**, once for the shard: the shard evaluates the shared
+//!    executor queue itself with
+//!    [`Batcher::flush_queued`](crate::batcher::Batcher::flush_queued),
+//!    so everything routed in phase 1 — pipelined lines and lines from
+//!    other connections — coalesces into dense calls with no thread
+//!    hand-off. Replies it lands for its own connections are marked
+//!    without ringing its own reactor;
+//! 3. **pump and write**, per ready connection: resolve the contiguous
+//!    head of the in-order slot queue — inline answers immediately, queued
+//!    answers via [`Ticket::try_take`](crate::batcher::Ticket::try_take) —
+//!    serialize them into the write buffer, and push buffered bytes until
+//!    the socket would block, completing trace records as their byte
+//!    ranges reach the kernel.
 //!
 //! Afterwards the connection's interest is recomputed: read while it
 //! accepts more input, write only while buffered bytes are blocked. An
@@ -35,8 +42,8 @@
 use std::collections::VecDeque;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, OnceLock};
+use std::thread::{JoinHandle, ThreadId};
 use std::time::Instant;
 
 use crate::batcher::Waker;
@@ -56,18 +63,21 @@ const CHUNK: usize = 16 * 1024;
 const WRITE_HIGH_WATERMARK: usize = 1 << 20;
 
 /// What other threads hand a shard: accepted sockets and the tokens of
-/// connections whose executor replies have landed.
+/// connections whose queued replies have landed.
 #[derive(Default)]
 struct Inbox {
     conns: Vec<TcpStream>,
     ready: Vec<Token>,
 }
 
-/// One poller shard's shared half: the accept loop and executor wakers
+/// One poller shard's shared half: the accept loop and reply wakers
 /// talk to the shard thread exclusively through this.
 struct Shard {
     inbox: Mutex<Inbox>,
     waker: reactor::Waker,
+    /// The shard's own thread, which needs no ring for the replies its
+    /// own flush lands.
+    owner: OnceLock<ThreadId>,
 }
 
 impl Shard {
@@ -75,6 +85,7 @@ impl Shard {
         Shard {
             inbox: Mutex::new(Inbox::default()),
             waker,
+            owner: OnceLock::new(),
         }
     }
 
@@ -90,10 +101,14 @@ impl Shard {
         self.waker.wake();
     }
 
-    /// Marks connection `token` for service (an executor reply landed).
+    /// Marks connection `token` for service (a queued reply landed). Only
+    /// a mark from another thread rings the reactor: the shard collects
+    /// its own marks right after its flush.
     fn mark_ready(&self, token: Token) {
         self.lock().ready.push(token);
-        self.waker.wake();
+        if self.owner.get() != Some(&std::thread::current().id()) {
+            self.waker.wake();
+        }
     }
 
     /// Takes everything handed over since the last call.
@@ -161,6 +176,7 @@ impl PollerPool {
 }
 
 fn run_shard(shard: &Arc<Shard>, mut reactor: Reactor, ctx: &Arc<Ctx>) {
+    shard.owner.get_or_init(|| std::thread::current().id());
     // The connection table: a connection's token is its index, and
     // closed slots are reused before the table grows.
     let mut conns: Vec<Option<Conn>> = Vec::new();
@@ -208,10 +224,22 @@ fn run_shard(shard: &Arc<Shard>, mut reactor: Reactor, ctx: &Arc<Ctx>) {
         ready.sort_unstable();
         ready.dedup();
         for &token in &ready {
+            if let Some(conn) = conns.get_mut(token).and_then(Option::as_mut) {
+                conn.read_and_route(ctx, shutdown, &mut chunk);
+            }
+        }
+        // One flush for everything routed above; the replies it lands for
+        // this shard's connections are marked without a ring.
+        ctx.batcher.flush_queued();
+        ready.append(&mut shard.lock().ready);
+        ready.sort_unstable();
+        ready.dedup();
+        for &token in &ready {
             let Some(conn) = conns.get_mut(token).and_then(Option::as_mut) else {
                 continue; // closed since it was reported
             };
-            conn.service(ctx, shutdown, &mut chunk);
+            conn.pump();
+            conn.write_some(ctx);
             let want = conn.interest(shutdown);
             if reactor
                 .set_interest(&conn.stream, token, &mut conn.registered, want)
@@ -302,7 +330,7 @@ struct Conn {
     stream: TcpStream,
     /// The interest last given to the shard's reactor.
     registered: Interest,
-    /// Rings this connection's shard with its token when a queued reply
+    /// Marks this connection's token on its shard when a queued reply
     /// lands.
     waker: Waker,
     reader: LineReader,
@@ -337,21 +365,19 @@ impl Conn {
         })
     }
 
-    /// One state-machine pass: read (through the shard's `chunk`),
-    /// route, pump, write.
-    fn service(&mut self, ctx: &Ctx, shutdown: bool, chunk: &mut [u8]) {
+    /// The first half of a service pass: read (through the shard's
+    /// `chunk`) and route; the shard flushes, then pumps and writes.
+    fn read_and_route(&mut self, ctx: &Ctx, shutdown: bool, chunk: &mut [u8]) {
         if !self.dead && !self.peer_closed && !shutdown && self.out.pending() < WRITE_HIGH_WATERMARK
         {
             self.read_some(chunk);
         }
         self.route_new_lines(ctx);
-        self.pump();
-        self.write_some(ctx);
     }
 
     /// What to wait for next: more input while the connection accepts
     /// it, room to write only while buffered bytes are blocked. A dead
-    /// connection waits on nothing (its executor replies still wake it).
+    /// connection waits on nothing (its queued replies still wake it).
     fn interest(&self, shutdown: bool) -> Interest {
         if self.dead {
             return Interest::NONE;
@@ -422,8 +448,8 @@ impl Conn {
     }
 
     /// Resolves the contiguous head of the slot queue into response
-    /// bytes. Stops at the first slot still waiting on the executor so
-    /// responses keep request order.
+    /// bytes. Stops at the first slot still in flight so responses keep
+    /// request order.
     fn pump(&mut self) {
         while let Some(front) = self.slots.front() {
             let reply = match front.pending_ticket() {

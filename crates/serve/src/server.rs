@@ -19,9 +19,9 @@
 //!
 //! Graceful shutdown: the `shutdown` verb (or
 //! [`Server::request_shutdown`]) latches the shutdown signal. The accept
-//! loop stops taking connections, poller shards finish writing every
-//! response they owe and release their sockets, and the executor drains
-//! everything already queued before the server joins.
+//! loop stops taking connections, poller shards flush and finish writing
+//! every response they owe and release their sockets, and the executor
+//! queue is drained of anything left before the server joins.
 
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener};
@@ -179,8 +179,9 @@ impl std::fmt::Debug for Server {
 }
 
 impl Server {
-    /// Binds, spawns the poller pool, the accept loop, and the batch
-    /// executor, restores any registry snapshot, and returns immediately.
+    /// Binds, creates the batch executor queue, spawns the poller pool and
+    /// the accept loop, restores any registry snapshot, and returns
+    /// immediately.
     ///
     /// # Errors
     ///
@@ -295,10 +296,10 @@ fn accept_loop(listener: &TcpListener, mut reactor: Reactor, ctx: &Arc<Ctx>, poo
             }
         }
     }
-    // Drain order matters: the pollers first (they finish writing every
-    // response they owe — the executor is still live to answer their
-    // outstanding tickets), then the executor (which flushes whatever is
-    // still queued).
+    // Drain order matters: the pollers first (each flushes the queue on
+    // every wake, so they answer and write every response they owe),
+    // then the executor, which latches draining and flushes on this
+    // thread anything still queued.
     pool.stop_and_join();
     ctx.batcher.drain();
 }
@@ -340,7 +341,7 @@ pub(crate) fn complete_trace(
     };
     if hmdiv_obs::enabled() {
         for span in record.stages.iter().flatten() {
-            hmdiv_obs::observe_ns(&format!("serve.stage.{}", span.stage.name()), span.dur_ns);
+            hmdiv_obs::observe_ns(STAGE_HISTOGRAMS[span.stage as usize], span.dur_ns);
         }
     }
     let shed = record.outcome.is_shed();
@@ -374,27 +375,39 @@ enum Routed {
     Queued { ticket: Ticket, render: Render },
 }
 
-/// Verbs the server understands (unknown verbs share one metrics bucket
-/// to keep counter cardinality bounded).
-const VERBS: [&str; 18] = [
-    "ping",
-    "metrics",
-    "models",
-    "manifest",
-    "fetch",
-    "shutdown",
-    "load",
-    "load_cohort",
-    "analyze",
-    "compare",
-    "evaluate",
-    "scenarios",
-    "extrapolate",
-    "importance",
-    "cohort",
-    "trace",
-    "save",
-    "restore",
+/// Verbs the server understands, each with its `serve.verb.*` counter
+/// (static, so counting a request allocates nothing; unknown verbs share
+/// one bucket to keep counter cardinality bounded).
+const VERBS: [(&str, &str); 18] = [
+    ("ping", "serve.verb.ping"),
+    ("metrics", "serve.verb.metrics"),
+    ("models", "serve.verb.models"),
+    ("manifest", "serve.verb.manifest"),
+    ("fetch", "serve.verb.fetch"),
+    ("shutdown", "serve.verb.shutdown"),
+    ("load", "serve.verb.load"),
+    ("load_cohort", "serve.verb.load_cohort"),
+    ("analyze", "serve.verb.analyze"),
+    ("compare", "serve.verb.compare"),
+    ("evaluate", "serve.verb.evaluate"),
+    ("scenarios", "serve.verb.scenarios"),
+    ("extrapolate", "serve.verb.extrapolate"),
+    ("importance", "serve.verb.importance"),
+    ("cohort", "serve.verb.cohort"),
+    ("trace", "serve.verb.trace"),
+    ("save", "serve.verb.save"),
+    ("restore", "serve.verb.restore"),
+];
+
+/// The `serve.stage.*` histogram of each [`Stage`], indexed by the stage.
+const STAGE_HISTOGRAMS: [&str; 7] = [
+    "serve.stage.read",
+    "serve.stage.parse",
+    "serve.stage.queue",
+    "serve.stage.batch",
+    "serve.stage.eval",
+    "serve.stage.serialize",
+    "serve.stage.write",
 ];
 
 /// One parsed request waiting for its response to render.
@@ -444,11 +457,11 @@ pub(crate) fn route_line(
     match protocol::parse_request(line) {
         Ok(env) => {
             let parse_end = Instant::now();
-            if VERBS.contains(&env.verb.as_str()) {
-                hmdiv_obs::counter_add(&format!("serve.verb.{}", env.verb), 1);
-            } else {
-                hmdiv_obs::counter_add("serve.verb.unknown", 1);
-            }
+            let counter = VERBS
+                .iter()
+                .find(|(verb, _)| *verb == env.verb)
+                .map_or("serve.verb.unknown", |&(_, counter)| counter);
+            hmdiv_obs::counter_add(counter, 1);
             let id = env.id.clone();
             // With tracing on, every request gets a stage set and an
             // id (client-supplied or minted); with it off, a client
@@ -765,6 +778,11 @@ fn route(
         .or(ctx.default_deadline_ms)
         .map(|ms| received + Duration::from_millis(ms));
     let body = &env.body;
+    // Queued verbs admit their work and render its outcome once flushed.
+    let queue = |work, cost, render| {
+        let ticket = ctx.batcher.submit(work, cost, deadline, trace, waker)?;
+        Ok(Routed::Queued { ticket, render })
+    };
     match env.verb.as_str() {
         "ping" => Ok(Routed::Ready(Json::Obj(vec![(
             "pong".to_owned(),
@@ -957,38 +975,23 @@ fn route(
                 Artifact::Sequential(model) => {
                     let compiled = Arc::clone(model.compiled());
                     let bound = compiled.bind_profile(&profile).map_err(ServeError::Model)?;
-                    let ticket = ctx.batcher.submit(
+                    queue(
                         Work::Profile {
                             model: compiled,
                             profile: bound,
                         },
                         1,
-                        deadline,
-                        trace.clone(),
-                        waker,
-                    )?;
-                    Ok(Routed::Queued {
-                        ticket,
-                        render: Render::Failure,
-                    })
+                        Render::Failure,
+                    )
                 }
-                Artifact::Detection(model) => {
-                    let ticket = ctx.batcher.submit(
-                        Work::Direct(Box::new(move || {
-                            let failure =
-                                model.system_failure(&profile).map_err(ServeError::Model)?;
-                            Ok(Outcome::One(failure))
-                        })),
-                        1,
-                        deadline,
-                        trace.clone(),
-                        waker,
-                    )?;
-                    Ok(Routed::Queued {
-                        ticket,
-                        render: Render::Failure,
-                    })
-                }
+                Artifact::Detection(model) => queue(
+                    Work::Direct(Box::new(move || {
+                        let failure = model.system_failure(&profile).map_err(ServeError::Model)?;
+                        Ok(Outcome::One(failure))
+                    })),
+                    1,
+                    Render::Failure,
+                ),
                 Artifact::Cohort(_) => Err(ServeError::BadRequest {
                     detail: "cohort artifacts are evaluated with the `cohort` verb".to_owned(),
                 }),
@@ -1000,40 +1003,28 @@ fn route(
             // Admission cost: one scalar evaluation per scenario, so a
             // bulk batch cannot monopolize a flush window for free.
             let cost = scenarios.len();
-            let ticket = ctx.batcher.submit(
+            queue(
                 Work::Scenarios {
                     model: compiled,
                     profile: bound,
                     scenarios,
                 },
                 cost,
-                deadline,
-                trace.clone(),
-                waker,
-            )?;
-            Ok(Routed::Queued {
-                ticket,
-                render: Render::Failures,
-            })
+                Render::Failures,
+            )
         }
         "extrapolate" => {
             let (compiled, bound) = sequential_binding(body, ctx)?;
             let scenario = protocol::parse_scenario(protocol::required(body, "scenario")?)?;
-            let ticket = ctx.batcher.submit(
+            queue(
                 Work::Scenarios {
                     model: compiled,
                     profile: bound,
                     scenarios: vec![Scenario::new(), scenario],
                 },
                 2,
-                deadline,
-                trace.clone(),
-                waker,
-            )?;
-            Ok(Routed::Queued {
-                ticket,
-                render: Render::Extrapolate,
-            })
+                Render::Extrapolate,
+            )
         }
         "importance" => {
             let artifact = ctx.registry.get(protocol::required_str(body, "model")?)?;
@@ -1042,7 +1033,7 @@ fn route(
                     detail: "`importance` needs a sequential model".to_owned(),
                 });
             };
-            let ticket = ctx.batcher.submit(
+            queue(
                 Work::Direct(Box::new(move || {
                     let lines = hmdiv_core::importance::machine_response_lines(&model)
                         .into_iter()
@@ -1070,14 +1061,8 @@ fn route(
                     )])))
                 })),
                 1,
-                deadline,
-                trace.clone(),
-                waker,
-            )?;
-            Ok(Routed::Queued {
-                ticket,
-                render: Render::Value,
-            })
+                Render::Value,
+            )
         }
         "cohort" => {
             let artifact = ctx.registry.get(protocol::required_str(body, "cohort")?)?;
@@ -1091,7 +1076,7 @@ fn route(
             // Admission cost: one member-model evaluation per reader in
             // the cohort.
             let cost = cohort.members().len();
-            let ticket = ctx.batcher.submit(
+            queue(
                 Work::Direct(Box::new(move || {
                     let summary = cohort
                         .evaluate_par(&profile, threads)
@@ -1116,14 +1101,8 @@ fn route(
                     ])))
                 })),
                 cost,
-                deadline,
-                trace.clone(),
-                waker,
-            )?;
-            Ok(Routed::Queued {
-                ticket,
-                render: Render::Value,
-            })
+                Render::Value,
+            )
         }
         other => Err(ServeError::UnknownVerb {
             verb: other.to_owned(),
@@ -1176,5 +1155,18 @@ mod tests {
         assert_eq!(c.trace_capacity, 0, "tracing is opt-in");
         assert!(c.trace_dump.is_none());
         assert!(c.snapshot_dir.is_none(), "persistence is opt-in");
+    }
+
+    #[test]
+    fn metric_name_tables_follow_verbs_and_stages() {
+        for (verb, counter) in VERBS {
+            assert_eq!(counter, format!("serve.verb.{verb}"));
+        }
+        for stage in Stage::ALL {
+            assert_eq!(
+                STAGE_HISTOGRAMS[stage as usize],
+                format!("serve.stage.{}", stage.name())
+            );
+        }
     }
 }

@@ -845,6 +845,85 @@ fn zero_capacity_queue_sheds_every_evaluation() {
     server.shutdown();
 }
 
+/// Eight `evaluate` lines in one write on one connection: the shard
+/// routes them all before it flushes, so they coalesce into one dense
+/// call on the poller itself, and the replies come back bit-identical and
+/// in request order.
+#[test]
+fn pipelined_evaluates_in_one_write_coalesce_and_keep_order() {
+    hmdiv_obs::set_enabled(true);
+    let model = paper::example_model().unwrap();
+    let compiled = model.compiled();
+    let bound = compiled
+        .bind_profile(&paper::field_profile().unwrap())
+        .unwrap();
+    let expected = compiled.system_failure(&bound).value().to_bits();
+    let batched_before = batches_above_one();
+
+    let server = Server::start(ServerConfig {
+        trace_capacity: 64,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let model_id = load_paper_model(&mut client);
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    let wire: String = (0..8)
+        .map(|i| {
+            format!(
+                "{{\"id\":{i},\"verb\":\"evaluate\",\"trace_id\":\"00000000000001{i:02x}\",\
+                 \"model\":\"{model_id}\",\"profile\":{{\"easy\":0.9,\"difficult\":0.1}}}}\n"
+            )
+        })
+        .collect();
+    raw.write_all(wire.as_bytes()).unwrap();
+    for i in 0..8 {
+        let reply = json::parse(&read_line(&mut raw)).unwrap();
+        assert_eq!(reply.get("id").and_then(Json::as_f64), Some(f64::from(i)));
+        let failure = reply
+            .get("result")
+            .and_then(|r| r.get("failure"))
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("reply {i} carries no failure: {reply:?}"));
+        assert_eq!(failure.to_bits(), expected, "reply {i} drifted");
+    }
+
+    // This connection's own records show the coalescing, and the
+    // `serve.batch_size` histogram recorded it. The `trace` request goes
+    // down the same connection: its shard lands the records of the writes
+    // above before it reads the next line.
+    raw.write_all(b"{\"verb\":\"trace\"}\n").unwrap();
+    let report = json::parse(&read_line(&mut raw)).unwrap();
+    let largest = report
+        .get("result")
+        .and_then(|r| r.get("records"))
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .filter(|r| {
+            r.get("trace_id")
+                .and_then(Json::as_str)
+                .is_some_and(|t| t.starts_with("00000000000001"))
+        })
+        .filter_map(|r| r.get("batch_size").and_then(Json::as_f64))
+        .fold(0.0, f64::max);
+    assert!(largest > 1.0, "no pipelined evaluate shared a batch");
+    assert!(
+        batches_above_one() > batched_before,
+        "serve.batch_size recorded no batch above 1"
+    );
+    server.shutdown();
+}
+
+/// Flushes so far whose `serve.batch_size` exceeded 1 (bucket 0 of the
+/// count ladder holds the batches of one).
+fn batches_above_one() -> u64 {
+    hmdiv_obs::snapshot()
+        .histograms
+        .get("serve.batch_size")
+        .map_or(0, |h| h.count - h.counts[0])
+}
+
 /// The acceptance bar: server results — under concurrent, pipelined,
 /// batched load from 1, 2, and 7 client threads — are bit-for-bit the
 /// numbers a direct in-process `CompiledModel` evaluation produces.
