@@ -193,15 +193,13 @@ impl Driven {
     /// Runs one nonblocking step: pull and classify replies, then top
     /// up the pipeline and push writes. Reading first lets the replies
     /// that just arrived make room for the next requests at once.
-    fn step(&mut self, cfg: &LoadgenConfig, report: &mut LoadgenReport) {
+    /// `chunk` is the caller's read buffer.
+    fn step(&mut self, cfg: &LoadgenConfig, report: &mut LoadgenReport, chunk: &mut [u8]) {
         if self.done {
             return;
         }
         let quota = cfg.requests_per_connection;
-        let mut chunk = [0u8; 16 * 1024];
-        let read = self
-            .replies
-            .read_from(&mut self.stream, &mut chunk, usize::MAX);
+        let read = self.replies.read_from(&mut self.stream, chunk, usize::MAX);
         while let Some(event) = self.replies.next_event() {
             let bucket = match event {
                 LineEvent::Line(line) => classify(&line),
@@ -332,6 +330,8 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
     }
     report.connections = conns.len();
     let mut reactor = Reactor::new()?;
+    // One read buffer for every connection's replies.
+    let mut chunk = vec![0_u8; 16 * 1024];
     // The first pass sends every connection's opening requests.
     let mut ready: Vec<usize> = (0..conns.len()).collect();
     let mut open = conns.len();
@@ -341,7 +341,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
             if c.done {
                 continue;
             }
-            c.step(cfg, &mut report);
+            c.step(cfg, &mut report, &mut chunk);
             let want = c.interest();
             if reactor
                 .set_interest(&c.stream, i, &mut c.registered, want)

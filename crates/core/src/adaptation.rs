@@ -98,44 +98,50 @@ impl AdaptationResponse {
         params: &ClassParams,
     ) -> Result<ClassParams, ModelError> {
         self.validate()?;
+        Ok(self.adapt(old_p_mf, params))
+    }
+
+    /// [`AdaptationResponse::apply`] for a response that already passed
+    /// [`AdaptationResponse::validate`].
+    pub(crate) fn adapt(&self, old_p_mf: Probability, params: &ClassParams) -> ClassParams {
         let new_p_mf = params.p_mf();
         if old_p_mf == new_p_mf || old_p_mf.is_zero() {
-            return Ok(*params);
+            return *params;
         }
         let ratio = new_p_mf.value() / old_p_mf.value();
         match self {
-            AdaptationResponse::None => Ok(*params),
+            AdaptationResponse::None => *params,
             AdaptationResponse::Complacency { strength } => {
                 if ratio >= 1.0 {
-                    return Ok(*params); // complacency only reacts to improvement
+                    return *params; // complacency only reacts to improvement
                 }
                 let improvement = 1.0 - ratio;
                 let hf_mf = params.p_hf_given_mf().value();
                 let new_hf_mf = hf_mf + strength * (1.0 - hf_mf) * improvement;
-                Ok(params.with_reader(params.p_hf_given_ms(), Probability::clamped(new_hf_mf)))
+                params.with_reader(params.p_hf_given_ms(), Probability::clamped(new_hf_mf))
             }
             AdaptationResponse::Distrust { strength } => {
                 if ratio <= 1.0 {
-                    return Ok(*params); // distrust only reacts to degradation
+                    return *params; // distrust only reacts to degradation
                 }
                 let degradation = (ratio - 1.0).min(1.0);
                 let hf_ms = params.p_hf_given_ms().value();
                 let hf_mf = params.p_hf_given_mf().value();
                 let mid = (hf_ms + hf_mf) / 2.0;
                 let pull = strength * degradation;
-                Ok(params.with_reader(
+                params.with_reader(
                     Probability::clamped(hf_ms + (mid - hf_ms) * pull),
                     Probability::clamped(hf_mf + (mid - hf_mf) * pull),
-                ))
+                )
             }
             AdaptationResponse::Vigilance { strength } => {
                 if ratio <= 1.0 {
-                    return Ok(*params);
+                    return *params;
                 }
                 let degradation = (ratio - 1.0).min(1.0);
                 let hf_mf = params.p_hf_given_mf().value();
                 let new_hf_mf = hf_mf * (1.0 - strength * degradation);
-                Ok(params.with_reader(params.p_hf_given_ms(), Probability::clamped(new_hf_mf)))
+                params.with_reader(params.p_hf_given_ms(), Probability::clamped(new_hf_mf))
             }
         }
     }

@@ -101,6 +101,11 @@ pub struct ClassUniverse {
     /// Sorted, deduplicated class names; `names[i]` is the class at index
     /// `i as u32`.
     names: Vec<ClassId>,
+    /// Open-addressing index over `names`: a power-of-two table at most
+    /// half full, each cell `i + 1` for `names[i]` (0 is empty), probed
+    /// linearly from the name's hash. It is a function of `names`, so
+    /// equal universes have equal tables.
+    lookup: Vec<u32>,
 }
 
 impl ClassUniverse {
@@ -114,7 +119,16 @@ impl ClassUniverse {
         let mut names: Vec<ClassId> = names.into_iter().map(Into::into).collect();
         names.sort();
         names.dedup();
-        ClassUniverse { names }
+        let mut lookup = vec![0_u32; (2 * names.len()).next_power_of_two()];
+        let mask = lookup.len() - 1;
+        for (i, name) in (1_u32..).zip(&names) {
+            let mut cell = lookup_cell(name.name(), mask);
+            while lookup[cell] != 0 {
+                cell = (cell + 1) & mask;
+            }
+            lookup[cell] = i;
+        }
+        ClassUniverse { names, lookup }
     }
 
     /// Number of classes in the universe.
@@ -132,10 +146,15 @@ impl ClassUniverse {
     /// The dense index of a class name, or `None` if unknown.
     #[must_use]
     pub fn index_of(&self, name: &str) -> Option<u32> {
-        self.names
-            .binary_search_by(|c| c.name().cmp(name))
-            .ok()
-            .map(|i| i as u32)
+        let mask = self.lookup.len() - 1;
+        let mut cell = lookup_cell(name, mask);
+        loop {
+            match self.lookup[cell] {
+                0 => return None,
+                i if self.names[i as usize - 1].name() == name => return Some(i - 1),
+                _ => cell = (cell + 1) & mask,
+            }
+        }
     }
 
     /// The dense index of a class name, as a typed error on miss.
@@ -229,6 +248,13 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// One FNV-1a 64 step.
 fn fnv1a(h: u64, byte: u8) -> u64 {
     (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3)
+}
+
+/// A name's first cell in a [`ClassUniverse`] lookup table of `mask + 1`
+/// cells: its FNV-1a hash, high half folded onto the low one.
+fn lookup_cell(name: &str, mask: usize) -> usize {
+    let h = name.bytes().fold(FNV_OFFSET, fnv1a);
+    (h ^ (h >> 32)) as usize & mask
 }
 
 /// A serialized [`ClassUniverse`]: the ordered name list plus its content
@@ -372,6 +398,20 @@ mod tests {
             Err(crate::ModelError::UnknownClass { class }) if class.name() == "odd"
         ));
         assert!(!u.contains("odd"));
+    }
+
+    #[test]
+    fn universe_index_matches_sorted_position_at_every_size() {
+        for n in [0usize, 1, 2, 3, 8, 33, 512] {
+            let names: Vec<String> = (0..n).map(|i| format!("class{i}")).collect();
+            let u = ClassUniverse::from_names(names.iter().map(String::as_str));
+            for (i, name) in u.iter().enumerate() {
+                assert_eq!(u.index_of(name.name()), Some(i as u32), "{name} of {n}");
+            }
+            for absent in ["", "class", "class-1", "class512x", "ghost"] {
+                assert_eq!(u.index_of(absent), None, "{absent} of {n}");
+            }
+        }
     }
 
     #[test]

@@ -45,7 +45,8 @@ use hmdiv_prob::Probability;
 
 use crate::adaptation::AdaptationResponse;
 use crate::extrapolate::{Change, Scenario};
-use crate::{ClassParams, ClassUniverse, DemandProfile, ModelError, ModelParams};
+use crate::params::check_improvement_factor;
+use crate::{ClassId, ClassParams, ClassUniverse, DemandProfile, ModelError, ModelParams};
 
 /// Independent scenario evaluations advanced per lane-blocked inner-loop
 /// iteration. Eight `f64` lanes fill one 512-bit (or two 256-bit) vector
@@ -437,11 +438,13 @@ impl CompiledModel {
     ///
     /// The multi-patch sweep first broadcasts the baseline class-failure
     /// column across every lane of the rows the profile reads, then each
-    /// lane overwrites only the cells its scenario changes: targeted-change
-    /// scenarios without adaptation go through a sparse overlay (no
+    /// lane overwrites only the cells its scenario changes. Each scenario is
+    /// validated once into the scratch's resolved list; targeted-change
+    /// scenarios without adaptation then go through a sparse overlay (no
     /// baseline copy, no per-slot adaptation pass), everything else through
-    /// the general [`CompiledModel::apply_scenario_into`] path. One fused
-    /// pass then walks the profile once, advancing all lanes per entry.
+    /// the same error-free applier as
+    /// [`CompiledModel::apply_scenario_into`]. One fused pass then walks
+    /// the profile once, advancing all lanes per entry.
     ///
     /// Lanes are independent evaluations: each lane's additions happen in
     /// its own profile order, so every lane is bit-identical to the scalar
@@ -466,12 +469,13 @@ impl CompiledModel {
             lanes.cf_block[i * SCENARIO_LANES..][..SCENARIO_LANES].fill(self.class_failure[i]);
         }
         for (lane, scenario) in block.iter().enumerate() {
-            if self.try_overlay(scenario, &mut lanes.overlay)? {
+            self.resolve_scenario(scenario, &mut lanes.resolved)?;
+            if self.try_overlay(scenario.adaptation(), &lanes.resolved, &mut lanes.overlay) {
                 for &(i, cp) in &lanes.overlay {
                     lanes.cf_block[i * SCENARIO_LANES + lane] = cp.class_failure().value();
                 }
             } else {
-                self.apply_scenario_into(scenario, &mut lanes.scratch)?;
+                self.apply_resolved(&lanes.resolved, scenario.adaptation(), &mut lanes.scratch);
                 for &idx in profile.indices() {
                     let i = idx as usize;
                     lanes.cf_block[i * SCENARIO_LANES + lane] =
@@ -489,66 +493,38 @@ impl CompiledModel {
         Ok(acc.map(Probability::clamped))
     }
 
-    /// Tries to express a scenario as a sparse overlay of targeted slot
-    /// updates on the baseline: possible exactly when the adaptation is
-    /// [`AdaptationResponse::None`] (a proven identity, so skipping the
-    /// per-slot pass is bit-exact) and every change addresses a single
-    /// class. Returns `Ok(false)` — overlay contents unspecified — when the
-    /// scenario needs the general path. Validation errors surface in change
-    /// order, exactly as [`CompiledModel::apply_scenario_into`] raises
-    /// them; a whole-table change aborts to the general path *before*
-    /// validating later changes, so the general pass re-raises errors in
-    /// the original order.
+    /// Tries to express a validated scenario as a sparse overlay of
+    /// targeted slot updates on the baseline: possible exactly when the
+    /// adaptation is [`AdaptationResponse::None`] (a proven identity, so
+    /// skipping the per-slot pass is bit-exact) and every change addresses
+    /// a single class. Returns `false` — overlay contents unspecified —
+    /// when the scenario needs the general path.
     fn try_overlay(
         &self,
-        scenario: &Scenario,
+        adaptation: &AdaptationResponse,
+        resolved: &[SlotChange],
         overlay: &mut Vec<(usize, ClassParams)>,
-    ) -> Result<bool, ModelError> {
-        if !matches!(scenario.adaptation(), AdaptationResponse::None) {
-            return Ok(false);
+    ) -> bool {
+        if !matches!(adaptation, AdaptationResponse::None) {
+            return false;
         }
         overlay.clear();
-        for change in scenario.changes() {
-            let (i, updated) = match change {
-                Change::ImproveMachine { class, factor } => {
-                    let i = self.universe().resolve(class.name())? as usize;
-                    (
-                        i,
-                        self.overlay_base(overlay, i)
-                            .with_machine_improved(*factor)?,
-                    )
-                }
-                Change::SetMachineFailure { class, p_mf } => {
-                    let i = self.universe().resolve(class.name())? as usize;
-                    (i, self.overlay_base(overlay, i).with_p_mf(*p_mf))
-                }
-                Change::SetReader {
-                    class,
-                    p_hf_given_ms,
-                    p_hf_given_mf,
-                } => {
-                    let i = self.universe().resolve(class.name())? as usize;
-                    (
-                        i,
-                        self.overlay_base(overlay, i)
-                            .with_reader(*p_hf_given_ms, *p_hf_given_mf),
-                    )
-                }
-                Change::ImproveMachineEverywhere { .. } | Change::ScaleReaderEverywhere { .. } => {
-                    return Ok(false)
-                }
+        for change in resolved {
+            let Some(i) = change.slot() else {
+                return false;
             };
+            let updated = change.update(self.overlay_base(overlay, i));
             match overlay.iter_mut().find(|(j, _)| *j == i) {
                 Some(slot) => slot.1 = updated,
                 None => overlay.push((i, updated)),
             }
         }
-        Ok(true)
+        true
     }
 
     /// The current value of slot `i` under a partially-built overlay —
-    /// successive changes to one class compose, as they do on the scratch
-    /// copy in the general path.
+    /// successive changes to one class compose, as they do in
+    /// [`CompiledModel::apply_scenario_into`].
     fn overlay_base(&self, overlay: &[(usize, ClassParams)], i: usize) -> ClassParams {
         overlay
             .iter()
@@ -644,8 +620,12 @@ impl CompiledModel {
     /// scenario semantics ([`Scenario::apply`] wraps the result in a model).
     ///
     /// The adaptation response is validated first, then the changes apply
-    /// in order, then the reader adapts to the machine change slot by slot,
-    /// referenced against this (the baseline) model's `PMf(x)`.
+    /// in order — each one validated (class resolved, factor checked)
+    /// before a pass over the slots that can no longer fail — then the
+    /// reader adapts to the machine change slot by slot, referenced
+    /// against this (the baseline) model's `PMf(x)`. The adaptation pass
+    /// is skipped for [`AdaptationResponse::None`], which is an identity.
+    /// `scratch` is unspecified after an error.
     ///
     /// # Errors
     ///
@@ -659,50 +639,95 @@ impl CompiledModel {
         scratch.clear();
         scratch.extend_from_slice(self.table.slots());
         for change in scenario.changes() {
-            match change {
-                Change::ImproveMachine { class, factor } => {
-                    let i = self.universe().resolve(class.name())? as usize;
-                    scratch[i] = scratch[i].with_machine_improved(*factor)?;
-                }
-                Change::ImproveMachineEverywhere { factor } => {
-                    for cp in scratch.iter_mut() {
-                        *cp = cp.with_machine_improved(*factor)?;
-                    }
-                }
-                Change::SetMachineFailure { class, p_mf } => {
-                    let i = self.universe().resolve(class.name())? as usize;
-                    scratch[i] = scratch[i].with_p_mf(*p_mf);
-                }
-                Change::SetReader {
-                    class,
-                    p_hf_given_ms,
-                    p_hf_given_mf,
-                } => {
-                    let i = self.universe().resolve(class.name())? as usize;
-                    scratch[i] = scratch[i].with_reader(*p_hf_given_ms, *p_hf_given_mf);
-                }
-                Change::ScaleReaderEverywhere { factor } => {
-                    if factor.is_nan() || *factor < 0.0 || factor.is_infinite() {
-                        return Err(ModelError::InvalidFactor {
-                            value: *factor,
-                            context: "reader scale factor",
-                        });
-                    }
-                    for cp in scratch.iter_mut() {
-                        *cp = cp.with_reader(
-                            Probability::clamped(cp.p_hf_given_ms().value() * factor),
-                            Probability::clamped(cp.p_hf_given_mf().value() * factor),
-                        );
-                    }
-                }
-            }
+            self.resolve(change)?.apply_to(scratch);
         }
-        // Indirect effects: the reader adapts to the machine change,
-        // referenced against the *baseline* machine parameters.
+        self.adapt_reader(scenario.adaptation(), scratch);
+        Ok(())
+    }
+
+    /// [`CompiledModel::apply_scenario_into`] for a scenario already
+    /// validated by [`CompiledModel::resolve_scenario`].
+    fn apply_resolved(
+        &self,
+        resolved: &[SlotChange],
+        adaptation: &AdaptationResponse,
+        scratch: &mut Vec<ClassParams>,
+    ) {
+        scratch.clear();
+        scratch.extend_from_slice(self.table.slots());
+        for change in resolved {
+            change.apply_to(scratch);
+        }
+        self.adapt_reader(adaptation, scratch);
+    }
+
+    /// Indirect effects: the reader adapts to the machine change,
+    /// referenced against the *baseline* machine parameters. `None` is an
+    /// identity, so its pass is skipped.
+    fn adapt_reader(&self, adaptation: &AdaptationResponse, scratch: &mut [ClassParams]) {
+        if matches!(adaptation, AdaptationResponse::None) {
+            return;
+        }
         for (cp, base) in scratch.iter_mut().zip(self.table.slots()) {
-            *cp = scenario.adaptation().apply(base.p_mf(), cp)?;
+            *cp = adaptation.adapt(base.p_mf(), cp);
+        }
+    }
+
+    /// Validates a whole scenario into `resolved`, in the order
+    /// [`CompiledModel::apply_scenario_into`] raises errors: the adaptation
+    /// first, then each change in turn.
+    fn resolve_scenario(
+        &self,
+        scenario: &Scenario,
+        resolved: &mut Vec<SlotChange>,
+    ) -> Result<(), ModelError> {
+        scenario.adaptation().validate()?;
+        resolved.clear();
+        for change in scenario.changes() {
+            resolved.push(self.resolve(change)?);
         }
         Ok(())
+    }
+
+    /// Validates one change against this model: a targeted class resolves
+    /// to its slot (before its factor is checked), a factor must be valid.
+    fn resolve(&self, change: &Change) -> Result<SlotChange, ModelError> {
+        let slot = |class: &ClassId| -> Result<usize, ModelError> {
+            Ok(self.universe().resolve(class.name())? as usize)
+        };
+        Ok(match *change {
+            Change::ImproveMachine { ref class, factor } => {
+                let slot = slot(class)?;
+                check_improvement_factor(factor)?;
+                SlotChange::ImproveMachine { slot, factor }
+            }
+            Change::ImproveMachineEverywhere { factor } => {
+                check_improvement_factor(factor)?;
+                SlotChange::ImproveMachineEverywhere { factor }
+            }
+            Change::SetMachineFailure { ref class, p_mf } => SlotChange::SetMachineFailure {
+                slot: slot(class)?,
+                p_mf,
+            },
+            Change::SetReader {
+                ref class,
+                p_hf_given_ms,
+                p_hf_given_mf,
+            } => SlotChange::SetReader {
+                slot: slot(class)?,
+                p_hf_given_ms,
+                p_hf_given_mf,
+            },
+            Change::ScaleReaderEverywhere { factor } => {
+                if factor.is_nan() || factor < 0.0 || factor.is_infinite() {
+                    return Err(ModelError::InvalidFactor {
+                        value: factor,
+                        context: "reader scale factor",
+                    });
+                }
+                SlotChange::ScaleReaderEverywhere { factor }
+            }
+        })
     }
 
     /// Replaces one class slot in place, returning the previous parameters
@@ -793,15 +818,86 @@ impl CompiledModel {
     }
 }
 
+/// A [`Change`] validated against one model: its class resolved to a
+/// slot and its factor checked, so applying it cannot fail.
+#[derive(Debug, Clone, Copy)]
+enum SlotChange {
+    ImproveMachine {
+        slot: usize,
+        factor: f64,
+    },
+    ImproveMachineEverywhere {
+        factor: f64,
+    },
+    SetMachineFailure {
+        slot: usize,
+        p_mf: Probability,
+    },
+    SetReader {
+        slot: usize,
+        p_hf_given_ms: Probability,
+        p_hf_given_mf: Probability,
+    },
+    ScaleReaderEverywhere {
+        factor: f64,
+    },
+}
+
+impl SlotChange {
+    /// The one slot a targeted change addresses; `None` for a whole-table
+    /// change.
+    fn slot(self) -> Option<usize> {
+        match self {
+            SlotChange::ImproveMachine { slot, .. }
+            | SlotChange::SetMachineFailure { slot, .. }
+            | SlotChange::SetReader { slot, .. } => Some(slot),
+            SlotChange::ImproveMachineEverywhere { .. }
+            | SlotChange::ScaleReaderEverywhere { .. } => None,
+        }
+    }
+
+    /// The change's effect on one class's parameters.
+    fn update(self, cp: ClassParams) -> ClassParams {
+        match self {
+            SlotChange::ImproveMachine { factor, .. }
+            | SlotChange::ImproveMachineEverywhere { factor } => cp.machine_improved_by(factor),
+            SlotChange::SetMachineFailure { p_mf, .. } => cp.with_p_mf(p_mf),
+            SlotChange::SetReader {
+                p_hf_given_ms,
+                p_hf_given_mf,
+                ..
+            } => cp.with_reader(p_hf_given_ms, p_hf_given_mf),
+            SlotChange::ScaleReaderEverywhere { factor } => cp.with_reader(
+                Probability::clamped(cp.p_hf_given_ms().value() * factor),
+                Probability::clamped(cp.p_hf_given_mf().value() * factor),
+            ),
+        }
+    }
+
+    /// Applies the change to a full slot table: a targeted change rewrites
+    /// its slot, a whole-table change is one straight pass.
+    fn apply_to(self, slots: &mut [ClassParams]) {
+        match self.slot() {
+            Some(i) => slots[i] = self.update(slots[i]),
+            None => {
+                for cp in slots.iter_mut() {
+                    *cp = self.update(*cp);
+                }
+            }
+        }
+    }
+}
+
 /// Reusable scratch for the lane-blocked scenario kernels.
 ///
 /// `cf_block` is the strided multi-patch region: `classes ×
 /// SCENARIO_LANES` class-failure values laid out `[class][lane]`, so the
 /// fused evaluation pass loads one contiguous lane-wide row per profile
-/// entry. `scratch` holds a full baseline copy for general-path lanes
-/// (whole-table changes or adaptation); `overlay` the `(slot, params)`
-/// pairs of sparse-path lanes.
+/// entry. `resolved` holds the lane's validated changes; `scratch` a full
+/// baseline copy for general-path lanes (whole-table changes or
+/// adaptation); `overlay` the `(slot, params)` pairs of sparse-path lanes.
 struct LaneScratch {
+    resolved: Vec<SlotChange>,
     scratch: Vec<ClassParams>,
     overlay: Vec<(usize, ClassParams)>,
     cf_block: Vec<f64>,
@@ -810,6 +906,7 @@ struct LaneScratch {
 impl LaneScratch {
     fn for_model(model: &CompiledModel) -> Self {
         LaneScratch {
+            resolved: Vec::new(),
             scratch: Vec::with_capacity(model.len()),
             overlay: Vec::new(),
             cf_block: vec![0.0; model.len() * SCENARIO_LANES],

@@ -120,16 +120,17 @@ impl ClassParams {
     /// Returns [`ModelError::InvalidFactor`] if `factor < 1.0` is not a
     /// genuine improvement, or is NaN/zero.
     pub fn with_machine_improved(&self, factor: f64) -> Result<Self, ModelError> {
-        if factor.is_nan() || factor < 1.0 || factor.is_infinite() {
-            return Err(ModelError::InvalidFactor {
-                value: factor,
-                context: "improvement factor",
-            });
-        }
-        Ok(ClassParams {
+        check_improvement_factor(factor)?;
+        Ok(self.machine_improved_by(factor))
+    }
+
+    /// [`ClassParams::with_machine_improved`] for a factor that already
+    /// passed [`check_improvement_factor`].
+    pub(crate) fn machine_improved_by(&self, factor: f64) -> Self {
+        ClassParams {
             p_mf: Probability::clamped(self.p_mf.value() / factor),
             ..*self
-        })
+        }
     }
 
     /// Returns a copy with both reader conditionals replaced.
@@ -141,6 +142,21 @@ impl ClassParams {
             ..*self
         }
     }
+}
+
+/// Checks a machine improvement factor: it must be a finite `factor >= 1`.
+///
+/// # Errors
+///
+/// [`ModelError::InvalidFactor`] otherwise.
+pub(crate) fn check_improvement_factor(factor: f64) -> Result<(), ModelError> {
+    if factor.is_nan() || factor < 1.0 || factor.is_infinite() {
+        return Err(ModelError::InvalidFactor {
+            value: factor,
+            context: "improvement factor",
+        });
+    }
+    Ok(())
 }
 
 impl fmt::Display for ClassParams {

@@ -271,10 +271,11 @@ fn lane_edge_sizes(lanes: usize) -> [usize; 6] {
     [0, 1, lanes - 1, lanes, lanes + 1, 2 * lanes + 3]
 }
 
-/// Eight structurally distinct scenarios: identity, the three targeted
+/// Ten structurally distinct scenarios: identity, the three targeted
 /// change kinds (sparse-overlay lanes), a composed overlay on one slot, the
-/// two whole-table change kinds, and an adaptation response (general-path
-/// lanes) — so cycled batches mix sparse and general lanes inside a block.
+/// two whole-table change kinds, an adaptation response, and two mixes of
+/// whole-table and targeted changes (general-path lanes) — so cycled
+/// batches mix sparse and general lanes inside a block.
 fn scenario_pool(
     factor: f64,
     new_mf: f64,
@@ -296,7 +297,83 @@ fn scenario_pool(
         Scenario::new()
             .improve_machine(ClassId::new("mid"), factor)
             .with_adaptation(AdaptationResponse::Complacency { strength }),
+        // A whole-table change, then targeted changes on one class that
+        // compose with it.
+        Scenario::new()
+            .improve_machine_everywhere(factor)
+            .improve_machine(ClassId::new("alpha"), factor)
+            .set_reader(ClassId::new("alpha"), p(ms), p(mf_cond)),
+        // A targeted reader change, then a whole-table reader scale on top.
+        Scenario::new()
+            .set_reader(ClassId::new("zeta"), p(ms), p(mf_cond))
+            .set_machine_failure(ClassId::new("zeta"), p(new_mf))
+            .scale_reader_everywhere(scale),
     ]
+}
+
+/// Every adaptation response, the identity `None` included.
+fn adaptations(strength: f64) -> [AdaptationResponse; 4] {
+    [
+        AdaptationResponse::None,
+        AdaptationResponse::Complacency { strength },
+        AdaptationResponse::Distrust { strength },
+        AdaptationResponse::Vigilance { strength },
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn mixed_changes_bit_identical_under_every_adaptation(
+        sys in system(),
+        factor in 1.5..=20.0f64,
+        new_mf in interior(),
+        ms in interior(),
+        mf_cond in interior(),
+        scale in 0.1..=1.5f64,
+        strength in 0.05..=0.95f64,
+    ) {
+        // Every pool scenario under every response: 40 scenarios, so the
+        // batch runs five full lane blocks, plus three more for a tail.
+        let pool = scenario_pool(factor, new_mf, ms, mf_cond, scale, strength);
+        let mut batch: Vec<Scenario> = adaptations(strength)
+            .into_iter()
+            .flat_map(|a| pool.iter().map(move |s| s.clone().with_adaptation(a)))
+            .collect();
+        batch.extend_from_within(5..8);
+        let compiled = sys.model.compiled();
+        let bound = compiled.bind_profile(&sys.profile).unwrap();
+        let expected: Vec<u64> = batch
+            .iter()
+            .map(|scenario| {
+                let table = map_apply(scenario, &sys.model);
+                // `Scenario::apply` yields exactly the map-walk table.
+                let applied = scenario.apply(&sys.model).unwrap();
+                for (class, cp) in applied.params().iter() {
+                    let want = table[class];
+                    assert_eq!(cp.p_mf().value().to_bits(), want.p_mf().value().to_bits());
+                    assert_eq!(
+                        cp.p_hf_given_ms().value().to_bits(),
+                        want.p_hf_given_ms().value().to_bits()
+                    );
+                    assert_eq!(
+                        cp.p_hf_given_mf().value().to_bits(),
+                        want.p_hf_given_mf().value().to_bits()
+                    );
+                }
+                map_table_failure(&table, &sys.profile).to_bits()
+            })
+            .collect();
+        let lane = compiled.evaluate_scenarios(&batch, &bound).unwrap();
+        let lane_bits: Vec<u64> = lane.iter().map(|v| v.value().to_bits()).collect();
+        prop_assert_eq!(&lane_bits, &expected);
+        for threads in [1usize, 2, 7] {
+            let par = compiled.evaluate_scenarios_par(&batch, &bound, threads).unwrap();
+            let par_bits: Vec<u64> = par.iter().map(|v| v.value().to_bits()).collect();
+            prop_assert_eq!(&par_bits, &expected, "threads={}", threads);
+        }
+    }
 }
 
 proptest! {
@@ -504,6 +581,137 @@ fn lane_blocked_error_order_matches_scalar_across_thread_counts() {
             format!("{sequential:?}"),
             "threads {threads}"
         );
+    }
+}
+
+/// The first error a scenario raises, found by walking it in change order:
+/// the adaptation first, then each change — a targeted change's class
+/// before its factor.
+fn reference_error(scenario: &Scenario, model: &SequentialModel) -> Option<hmdiv_core::ModelError> {
+    use hmdiv_core::ModelError;
+    if let Err(e) = scenario.adaptation().validate() {
+        return Some(e);
+    }
+    let improvement = |factor: f64| {
+        (factor.is_nan() || factor < 1.0 || factor.is_infinite()).then_some(
+            ModelError::InvalidFactor {
+                value: factor,
+                context: "improvement factor",
+            },
+        )
+    };
+    let class_error = |class: &ClassId| {
+        model
+            .params()
+            .class(class)
+            .is_err()
+            .then(|| ModelError::UnknownClass {
+                class: class.clone(),
+            })
+    };
+    for change in scenario.changes() {
+        let error = match change {
+            Change::ImproveMachine { class, factor } => {
+                class_error(class).or_else(|| improvement(*factor))
+            }
+            Change::ImproveMachineEverywhere { factor } => improvement(*factor),
+            Change::SetMachineFailure { class, .. } | Change::SetReader { class, .. } => {
+                class_error(class)
+            }
+            Change::ScaleReaderEverywhere { factor } => (factor.is_nan()
+                || *factor < 0.0
+                || factor.is_infinite())
+            .then_some(ModelError::InvalidFactor {
+                value: *factor,
+                context: "reader scale factor",
+            }),
+            other => panic!("no error oracle for {other:?}"),
+        };
+        if error.is_some() {
+            return error;
+        }
+    }
+    None
+}
+
+#[test]
+fn second_change_errors_surface_in_change_order_on_every_path() {
+    let sys = {
+        let mut builder = ModelParams::builder();
+        for name in ["zeta", "alpha", "mid"] {
+            builder = builder.class(name, ClassParams::new(p(0.1), p(0.2), p(0.3)));
+        }
+        let model = SequentialModel::new(builder.build().unwrap());
+        let profile = DemandProfile::builder()
+            .class("zeta", 0.5)
+            .class("alpha", 0.3)
+            .class("mid", 0.2)
+            .build()
+            .unwrap();
+        System { model, profile }
+    };
+    let ghost = || ClassId::new("ghost");
+    let invalid = [
+        // Unknown class after an invalid whole-table factor, and the
+        // reverse.
+        Scenario::new()
+            .improve_machine_everywhere(0.5)
+            .improve_machine(ghost(), 2.0),
+        Scenario::new()
+            .improve_machine(ghost(), 2.0)
+            .improve_machine_everywhere(0.5),
+        // The same pairs for the reader scale.
+        Scenario::new()
+            .scale_reader_everywhere(-1.0)
+            .set_reader(ghost(), p(0.2), p(0.3)),
+        Scenario::new()
+            .set_machine_failure(ghost(), p(0.2))
+            .scale_reader_everywhere(f64::NAN),
+        // A valid first change, then an invalid second one.
+        Scenario::new()
+            .improve_machine(ClassId::new("alpha"), 2.0)
+            .improve_machine_everywhere(f64::INFINITY),
+        Scenario::new()
+            .improve_machine_everywhere(2.0)
+            .improve_machine(ClassId::new("mid"), 0.25),
+        // An invalid adaptation outranks every change.
+        Scenario::new()
+            .improve_machine(ghost(), 2.0)
+            .with_adaptation(AdaptationResponse::Distrust { strength: 1.5 }),
+    ];
+    let compiled = sys.model.compiled();
+    let bound = compiled.bind_profile(&sys.profile).unwrap();
+    let valid = Scenario::new().improve_machine(ClassId::new("alpha"), 2.0);
+    for scenario in &invalid {
+        let expected = reference_error(scenario, &sys.model).expect("scenario is invalid");
+        assert_eq!(
+            scenario.apply(&sys.model).unwrap_err(),
+            expected,
+            "{scenario:?}"
+        );
+        // Inside a full lane block (position 3) and in the remainder tail
+        // (position 9 of 10).
+        for (len, at) in [
+            (SCENARIO_LANES, 3),
+            (SCENARIO_LANES + 2, SCENARIO_LANES + 1),
+        ] {
+            let mut batch = vec![valid.clone(); len];
+            batch[at] = scenario.clone();
+            assert_eq!(
+                compiled.evaluate_scenarios(&batch, &bound).unwrap_err(),
+                expected,
+                "{scenario:?} at {at}"
+            );
+            for threads in [1usize, 2, 7] {
+                assert_eq!(
+                    compiled
+                        .evaluate_scenarios_par(&batch, &bound, threads)
+                        .unwrap_err(),
+                    expected,
+                    "{scenario:?} at {at}, threads {threads}"
+                );
+            }
+        }
     }
 }
 

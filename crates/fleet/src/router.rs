@@ -292,6 +292,9 @@ const LISTENER: Token = 0;
 /// listener readable, so waiting on it would spin.
 const ACCEPT_RETRY: Duration = Duration::from_millis(20);
 
+/// Bytes one socket read may take.
+const READ_CHUNK: usize = 64 * 1024;
+
 /// The router's single-threaded event loop.
 struct EventLoop {
     listener: TcpListener,
@@ -313,6 +316,9 @@ struct EventLoop {
     /// interest are settled before the next wait.
     dirty_clients: Vec<usize>,
     dirty_backends: Vec<usize>,
+    /// The one read buffer every socket read lands in before framing,
+    /// allocated (and zeroed) once rather than per read.
+    chunk: Box<[u8]>,
 }
 
 impl EventLoop {
@@ -340,6 +346,7 @@ impl EventLoop {
             next_token: 1,
             dirty_clients: Vec::new(),
             dirty_backends: Vec::new(),
+            chunk: vec![0; READ_CHUNK].into_boxed_slice(),
         }
     }
 
@@ -527,11 +534,10 @@ impl EventLoop {
         };
         // A report may also mean room to write.
         self.dirty_backends.push(b);
-        let mut chunk = [0_u8; 64 * 1024];
         // End of stream is a failure too: replies may still be owed.
         let mut failed = !matches!(
             conn.reader
-                .read_from(&mut conn.stream, &mut chunk, usize::MAX),
+                .read_from(&mut conn.stream, &mut self.chunk, usize::MAX),
             Ok((_, false))
         );
         let mut resolved: Vec<(u64, usize, String)> = Vec::new();
@@ -576,10 +582,9 @@ impl EventLoop {
         if conn.dead || conn.half_closed {
             return;
         }
-        let mut chunk = [0_u8; 64 * 1024];
         match conn
             .reader
-            .read_from(&mut conn.stream, &mut chunk, usize::MAX)
+            .read_from(&mut conn.stream, &mut self.chunk, usize::MAX)
         {
             Ok((_, eof)) => conn.half_closed = eof,
             Err(_) => conn.dead = true,

@@ -88,15 +88,29 @@ enum ExchangeError {
     Fatal(ServeError),
 }
 
+/// Bytes one socket read may take.
+const READ_CHUNK: usize = 8 * 1024;
+
 /// A blocking connection to an evaluation server.
-#[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
     /// The resolved peer address, kept so reconnects hit the same server.
     addr: SocketAddr,
     buf: Vec<u8>,
+    /// The read buffer socket reads land in before `buf`, allocated (and
+    /// zeroed) once per client rather than per line.
+    chunk: Box<[u8]>,
     next_id: u64,
     retry: Option<(RetryPolicy, StdRng)>,
+}
+
+impl std::fmt::Debug for Client {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Client")
+            .field("addr", &self.addr)
+            .field("next_id", &self.next_id)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Client {
@@ -113,6 +127,7 @@ impl Client {
             stream,
             addr,
             buf: Vec::new(),
+            chunk: vec![0; READ_CHUNK].into_boxed_slice(),
             next_id: 1,
             retry: None,
         })
@@ -151,6 +166,7 @@ impl Client {
             stream,
             addr,
             buf: Vec::new(),
+            chunk: vec![0; READ_CHUNK].into_boxed_slice(),
             next_id: 1,
             retry: Some((policy, rng)),
         })
@@ -283,7 +299,6 @@ impl Client {
 
     /// Reads one newline-terminated response line.
     fn read_line(&mut self) -> Result<String, ExchangeError> {
-        let mut chunk = [0_u8; 8 * 1024];
         loop {
             if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
                 let mut line: Vec<u8> = self.buf.drain(..=pos).collect();
@@ -296,7 +311,7 @@ impl Client {
             }
             let n = self
                 .stream
-                .read(&mut chunk)
+                .read(&mut self.chunk)
                 .map_err(ExchangeError::Transport)?;
             if n == 0 {
                 return Err(ExchangeError::Transport(std::io::Error::new(
@@ -304,7 +319,7 @@ impl Client {
                     "server closed the connection mid-response",
                 )));
             }
-            self.buf.extend_from_slice(&chunk[..n]);
+            self.buf.extend_from_slice(&self.chunk[..n]);
         }
     }
 }
